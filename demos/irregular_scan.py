@@ -1,5 +1,5 @@
 """Scan primes for irregularity: polynomial root scan on one side, the
-exact-rational Bernoulli oracle on the other.
+per-prime series Bernoulli oracle on the other.
 
 Run: python demos/irregular_scan.py [pmax]
 """

@@ -8,6 +8,7 @@ point numbers anywhere in the verification paths.
 
 from .arith import (
     FieldDesc,
+    VerificationError,
     canon_power,
     ff_trace,
     field_make,

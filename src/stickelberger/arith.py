@@ -8,7 +8,7 @@ that pins down the p-th power residue character.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -21,6 +21,12 @@ _MR_EXTRA_WITNESSES = (
 )
 
 MILLER_RABIN_WITNESS_COUNT = len(_MR_EXTRA_WITNESSES)
+
+
+class VerificationError(AssertionError):
+    """A mathematical check failed: the computation contradicts a theorem
+    it relies on.  Raised explicitly, so the check survives `python -O`;
+    it subclasses AssertionError for callers that catch that."""
 
 
 def _miller_rabin(n: int, witnesses) -> bool:
@@ -111,7 +117,7 @@ def primitive_root(p: int) -> int:
     for v in range(2, p):
         if all(pow(v, c, p) != 1 for c in cofactors):
             return v
-    raise AssertionError("unreachable: (Z/pZ)^* is cyclic")
+    raise VerificationError("unreachable: (Z/pZ)^* is cyclic")
 
 
 def canon_power(v: int, k: int, p: int) -> int:
@@ -120,8 +126,33 @@ def canon_power(v: int, k: int, p: int) -> int:
     if v % p == 0:
         raise ValueError(f"{v} is divisible by {p}")
     r = pow(v % p, k, p)
-    assert 1 <= r <= p - 1
+    if not 1 <= r <= p - 1:
+        raise VerificationError(f"{v}^{k} mod {p} = {r} is not a unit")
     return r
+
+
+def _pack(xs, width):
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, xs, repeat(width), repeat("little"))), "little"
+    )
+
+
+def packed_mul(a, b, p: int, stop: int, start: int = 0) -> list:
+    """Coefficients start..stop-1 of the product of the polynomials with
+    coefficient lists a and b, reduced mod p.
+
+    Entries must be residues in [0, p).  Kronecker substitution: each list
+    is packed into one integer with byte-aligned slots wide enough for any
+    product coefficient, so one bigint product does the whole convolution.
+    """
+    a, b = a[:stop], b[:stop]
+    if not a or not b:
+        return [0] * (stop - start)
+    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    size = width * (stop - start)
+    window = (_pack(a, width) * _pack(b, width)) >> (8 * width * start)
+    raw = (window & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +264,7 @@ def _find_modulus(q, f):
         modulus = tuple(digits) + (1,)
         if _is_irreducible(modulus, q, f):
             return modulus
-    raise AssertionError(f"no irreducible degree-{f} polynomial over F_{q}")
+    raise VerificationError(f"no irreducible degree-{f} polynomial over F_{q}")
 
 
 def _find_generator(fd_modulus, q, f):
@@ -248,7 +279,7 @@ def _find_generator(fd_modulus, q, f):
             continue
         if all(_poly_powmod(cand, c, fd_modulus, q) != one for c in cofactors):
             return cand
-    raise AssertionError("multiplicative group of a finite field is cyclic")
+    raise VerificationError("multiplicative group of a finite field is cyclic")
 
 
 def field_make(p: int, q: int) -> FieldDesc:
@@ -272,7 +303,8 @@ def field_make(p: int, q: int) -> FieldDesc:
         g0 = _find_generator(modulus, q, f)
     zeta = _poly_powmod(g0, (q ** f - 1) // p, modulus, q)
     fd = FieldDesc(p=p, q=q, f=f, modulus=modulus, generator=g0, zeta_p_image=zeta)
-    assert _ff_order_is_p(fd), "zeta_p_image must have order exactly p"
+    if not _ff_order_is_p(fd):
+        raise VerificationError("zeta_p_image must have order exactly p")
     return fd
 
 
@@ -308,7 +340,7 @@ def ff_trace(x, fd: FieldDesc) -> int:
         for i in range(fd.f):
             acc[i] = (acc[i] + t[i]) % fd.q
     if any(c % fd.q for c in acc[1:]):
-        raise AssertionError("trace landed outside the prime field")
+        raise VerificationError("trace landed outside the prime field")
     return acc[0] % fd.q
 
 
@@ -334,7 +366,7 @@ def residue_char_exponent(x, fd: FieldDesc) -> int:
     y = ff_pow(x, (fd.order - 1) // fd.p, fd)
     table = _zeta_power_table(fd)
     if y not in table:
-        raise AssertionError("p-th power residue landed outside <zeta_p_image>")
+        raise VerificationError("p-th power residue landed outside <zeta_p_image>")
     return table[y]
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, primitive_root
+from .arith import VerificationError, is_prime, primitive_root
 
 
 class PrecisionExhausted(RuntimeError):
@@ -488,7 +488,8 @@ def _newton_lift(p, q, root_mod_q, precision):
         modulus = min(modulus * modulus, target)
         d = _phi_derivative_eval(p, r, modulus)
         r = (r - _phi_eval(p, r, modulus) * pow(d, -1, modulus)) % modulus
-    assert _phi_eval(p, r, target) == 0
+    if _phi_eval(p, r, target) != 0:
+        raise VerificationError(f"Newton lift of a root of Phi_{p} mod {q} failed")
     return r
 
 

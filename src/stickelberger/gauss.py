@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .arith import (
     FieldDesc,
+    VerificationError,
     ff_elements,
     ff_trace,
     field_make,
@@ -124,7 +125,7 @@ def extract_rho(g: BiCycInt) -> int:
         if candidate == twisted:
             return rho
         candidate = candidate * zeta_p
-    raise AssertionError("no rho found: tau-twist is not a zeta_p multiple")
+    raise VerificationError("no rho found: tau-twist is not a zeta_p multiple")
 
 
 def _stickelberger_profile(G: CycInt, p, q, precision=None):
@@ -180,7 +181,7 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
 
     G_big = g ** p
     if not G_big.in_zeta_p_subring():
-        raise AssertionError(
+        raise VerificationError(
             f"g^p did not collapse into Z[zeta_p] for (p, q)=({p}, {q}); "
             "character or trace construction is broken"
         )
@@ -228,7 +229,7 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
     else:
         checks["g_in_zeta_p"] = g.in_zeta_p_subring()
         if not checks["g_in_zeta_p"]:
-            raise AssertionError(
+            raise VerificationError(
                 f"f={f} > 1 but g kept a zeta_q part for (p, q)=({p}, {q})"
             )
         g_cyc = g.to_cyc()

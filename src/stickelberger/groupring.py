@@ -7,7 +7,7 @@ Coefficient i always multiplies sigma^i where sigma: zeta -> zeta^v for
 the chosen primitive root v; exponent arithmetic is mod p-1.
 """
 
-from .arith import canon_power, multiplicative_order
+from .arith import VerificationError, canon_power, multiplicative_order, packed_mul
 from .cyclotomic import CycInt, galois_apply
 
 
@@ -114,6 +114,34 @@ def fp_gr_eval(g: GroupRingElt, x: int) -> int:
     return acc
 
 
+def _chirp(u, count, p):
+    """u^C(k,2) mod p for k in [0, count), by running products:
+    C(k+1,2) - C(k,2) = k."""
+    out = [1] * count
+    step = 1  # u^k
+    for k in range(1, count):
+        out[k] = out[k - 1] * step % p
+        step = step * u % p
+    return out
+
+
+def fp_gr_eval_powers(g: GroupRingElt, v: int) -> list:
+    """[fp_gr_eval(g, v^n) for n in [0, p-2]] from one packed product.
+
+    Bluestein's chirp: i*n = C(i+n,2) - C(i,2) - C(n,2), so
+    g(v^n) = v^(-C(n,2)) * sum_i (c_i v^(-C(i,2))) * v^C(i+n,2), a
+    correlation of two fixed sequences.  v is any unit mod p, and exponents
+    only matter mod p-1, so no square root of v is needed.
+    """
+    p = g.p
+    n = p - 1
+    chirp = _chirp(v % p, 2 * n - 1, p)
+    inverse_chirp = _chirp(canon_power(v, -1, p), n, p)
+    weighted = [c * w % p for c, w in zip(reversed(g.coeffs), reversed(inverse_chirp))]
+    corr = packed_mul(weighted, chirp, p, 2 * n - 1, n - 1)
+    return [s * w % p for s, w in zip(corr, inverse_chirp)]
+
+
 def _dlog_table(p, v):
     table = {}
     cur = 1
@@ -147,14 +175,21 @@ def polynomial_P(p, v) -> GroupRingElt:
 def delta_coeffs(p, v):
     """The quotient coefficients delta_i = (v^(-(i-1)) - v^(-i) v)/p,
     exact integers in (-p, 0] with delta_0 = 0."""
+    inverse_v = canon_power(v, -1, p)
     deltas = []
+    prev = v % p  # v^(-(i-1)); at i = 0 that is v^1
+    cur = 1  # v^(-i)
     for i in range(p - 1):
-        num = canon_power(v, -(i - 1), p) - canon_power(v, -i, p) * v
-        assert num % p == 0, "delta numerator must be divisible by p"
+        num = prev - cur * v
+        if num % p:
+            raise VerificationError(f"delta_{i} numerator {num} is not divisible by {p}")
         d = num // p
-        assert -p < d <= 0, f"delta_{i}={d} out of (-p, 0]"
+        if not -p < d <= 0:
+            raise VerificationError(f"delta_{i}={d} out of (-p, 0]")
         deltas.append(d)
-    assert deltas[0] == 0, "delta_0 must vanish"
+        prev, cur = cur, cur * inverse_v % p
+    if deltas[0] != 0:
+        raise VerificationError("delta_0 must vanish")
     return deltas
 
 
@@ -200,7 +235,8 @@ def polynomial_S2(p, q, v) -> GroupRingElt:
     coeffs = [0] * (p - 1)
     for i in range(m):
         block = sum(canon_power(v, -(i + j * m), p) for j in range(f))
-        assert block % p == 0, "S2 coefficient must be integral"
+        if block % p:
+            raise VerificationError(f"S2 coefficient {i} is not integral")
         coeffs[i] = block // p
     return GroupRingElt(p, coeffs)
 
@@ -242,7 +278,8 @@ def polynomial_R(p, v) -> GroupRingElt:
     """R with P = T + p*R; exact, degree < p-2."""
     diff = polynomial_P(p, v) - polynomial_T_reduced(p, v)
     r = diff.scale_divexact(p)
-    assert r.coeffs[p - 2] == 0, "R must have degree < p-2"
+    if r.coeffs[p - 2] != 0:
+        raise VerificationError("R must have degree < p-2")
     return r
 
 

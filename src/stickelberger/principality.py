@@ -13,6 +13,7 @@ from itertools import product
 from .arith import (
     MILLER_RABIN_WITNESS_COUNT,
     MILLER_RABIN_DETERMINISTIC_BOUND,
+    VerificationError,
     canon_power,
     is_prime,
     multiplicative_order,
@@ -123,7 +124,7 @@ def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
     even_orbit = sum(canon_power(v, -2 * j, p) for j in range((p - 1) // 2))
     odd_orbit = sum(canon_power(v, -(1 + 2 * j), p) for j in range((p - 1) // 2))
     if even_orbit % p or odd_orbit % p:
-        raise AssertionError("orbit sums must be divisible by p")
+        raise VerificationError("orbit sums must be divisible by p")
     sigma = even_orbit // p - odd_orbit // p
     return HalfDegreeVerdict(
         p=p, v=v, sigma=sigma, sigma_mod_p=sigma % p, verdict=sigma % p != 0
@@ -208,7 +209,8 @@ def principal_norm_probe(
             n = abs(norm(q1))
             if n < 2 or not is_prime(n):
                 continue
-            assert n % p == 1, "a prime norm must split, so q = 1 mod p"
+            if n % p != 1:
+                raise VerificationError(f"prime norm {n} is not 1 mod {p}, so it does not split")
             if n >= MILLER_RABIN_DETERMINISTIC_BOUND:
                 report.probabilistic_primality_used = True
             residue = pow(p, (n - 1) // p, n)

@@ -1,18 +1,22 @@
-"""Irregular-prime machinery: the exact-rational Bernoulli oracle, the
-root scan of the quotient polynomial Q over F_p, and the alternating-sum
-fact that rules out a vanishing B_((p+1)/2) when (p-1)/2 is odd.
+"""Irregular-prime machinery: the per-prime Bernoulli oracle, the root
+scan of the quotient polynomial Q over F_p, and the alternating-sum fact
+that rules out a vanishing B_((p+1)/2) when (p-1)/2 is odd.
 
-The oracle is the ground truth here: it is built from the classical
-recurrence over exact fractions and has no code in common with the
-scanner, so agreement between the two is meaningful.
+Both halves of the scan are quasi-linear in p.  The oracle reads B_k mod p
+off the inverse of the power series (e^x - 1)/x, and the scanner gets every
+value Q(v^n) from one chirp correlation.  The two routes share only the
+packed-product helper `arith.packed_mul`, which tests pin against the
+schoolbook product; the exact-rational `bernoulli_fraction` recurrence stays
+as the single-index route, and tests cross-check the oracle against it.
+Every odd root the scanner reports is re-evaluated by Horner's rule.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .arith import canon_power, is_prime, primitive_root
-from .groupring import delta_coeffs, fp_gr_eval, polynomial_Q
+from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
+from .groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
 
 # B_0, B_1, ... computed on demand and never shrunk.
 _bernoulli_cache = [Fraction(1)]
@@ -42,11 +46,40 @@ def bernoulli_mod(k: int, p: int) -> int:
     return b.numerator * pow(b.denominator, -1, p) % p
 
 
+def _series_inverse(e, p, n):
+    """Inverse of the power series e (with e[0] = 1) mod (p, x^n), by the
+    Newton step r <- r (2 - e r), which doubles the correct length h.
+
+    e r = 1 + x^h H mod x^2h, so the step is r <- r - x^h (r H): only the
+    coefficients of e r from h on are computed.
+    """
+    r = [1]
+    while len(r) < n:
+        h = len(r)
+        m = min(2 * h, n)
+        high = packed_mul(e, r, p, m, h)
+        r += [-c % p for c in packed_mul(r, high, p, m - h)]
+    return r
+
+
 def bernoulli_mod_p(p: int) -> dict:
-    """k -> B_k mod p for every even k in [2, p-3]."""
+    """k -> B_k mod p for every even k in [2, p-3].
+
+    x / (e^x - 1) = sum B_k x^k / k!, so B_k = k! r_k with r the inverse
+    of (e^x - 1)/x = sum x^k / (k+1)! mod (p, x^(p-2)).  Only j! with
+    j <= p-2 occur, and those are units mod p.
+    """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    return {k: bernoulli_mod(k, p) for k in range(2, p - 2, 2)}
+    factorials = [1] * (p - 1)  # j! for j in [0, p-2]
+    for j in range(1, p - 1):
+        factorials[j] = factorials[j - 1] * j % p
+    inverse_factorials = [1] * (p - 1)
+    inverse_factorials[p - 2] = pow(factorials[p - 2], -1, p)
+    for j in range(p - 2, 1, -1):
+        inverse_factorials[j - 1] = inverse_factorials[j] * j % p
+    r = _series_inverse(inverse_factorials[1:], p, p - 2)
+    return {k: factorials[k] * r[k] % p for k in range(2, p - 2, 2)}
 
 
 def irregular_indices(p: int) -> frozenset:
@@ -78,7 +111,8 @@ class RegularityVerdict:
 
 def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     """Evaluate Q at v^n for n in [2, p-2] and cross the odd-exponent root
-    count against the Bernoulli oracle.
+    count against the Bernoulli oracle.  All values come from one chirp
+    product; each odd root is then confirmed by Horner's rule.
 
     Odd exponents are exactly the residues X with X^((p-1)/2) = -1; no such
     root means the scan is consistent with p being regular.
@@ -86,22 +120,22 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     if v is None:
         v = primitive_root(p)
     q_poly = polynomial_Q(p, v)
-    all_roots = set()
-    odd_roots = set()
-    for n in range(2, p - 1):
-        if fp_gr_eval(q_poly, canon_power(v, n, p)) == 0:
-            all_roots.add(n)
-            if n % 2 == 1:
-                odd_roots.add((n - 1) // 2)
+    values = fp_gr_eval_powers(q_poly, v)
+    all_roots = [n for n in range(2, p - 1) if values[n] == 0]
+    odd_exponents = [n for n in all_roots if n % 2 == 1]
+    # the verdict rests on the odd roots: confirm each one by Horner's rule
+    for n in odd_exponents:
+        if fp_gr_eval(q_poly, canon_power(v, n, p)) != 0:
+            raise VerificationError(f"Q(v^{n}) mod {p}: chirp and Horner disagree")
     irr = irregular_indices(p)
     return RegularityVerdict(
         p=p,
         v=v,
-        odd_roots=frozenset(odd_roots),
+        odd_roots=frozenset((n - 1) // 2 for n in odd_exponents),
         all_roots=frozenset(all_roots),
         irregular_indices=irr,
         verdict="irregular" if irr else "regular",
-        agreement=len(odd_roots) == len(irr),
+        agreement=len(odd_exponents) == len(irr),
     )
 
 
@@ -165,7 +199,6 @@ def scan_range(p_max: int, v_choice=None):
     return out
 
 
-# delta_coeffs is re-exported for callers that cross-check the floor form
 __all__ = [
     "bernoulli_fraction",
     "bernoulli_mod",
@@ -176,6 +209,5 @@ __all__ = [
     "HalfBernoulliCheck",
     "b_half_check",
     "delta_floor_form",
-    "delta_coeffs",
     "scan_range",
 ]

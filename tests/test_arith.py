@@ -11,6 +11,7 @@ from stickelberger.arith import (
     field_make,
     is_prime,
     multiplicative_order,
+    packed_mul,
     primitive_root,
     residue_char_exponent,
     smallest_prime_with_order,
@@ -90,6 +91,45 @@ class TestCanonPower:
         if v % p == 0:
             v += 1
         assert canon_power(v, k, p) * canon_power(v, -k, p) % p == 1
+
+
+def schoolbook_mul(a, b, p, length):
+    """Reference for packed_mul: the quadratic convolution, truncated."""
+    out = [0] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def residue_product_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 257, 9973, 2**61 - 1]))
+    # p-1-heavy entries stress the slot width; zeros stress the padding
+    entry = st.one_of(st.integers(0, p - 1), st.just(p - 1), st.just(0))
+    a = draw(st.lists(entry, min_size=1, max_size=40))
+    b = draw(st.lists(entry, min_size=1, max_size=40))
+    stop = draw(st.integers(1, len(a) + len(b) + 3))
+    start = draw(st.integers(0, stop))
+    return p, a, b, stop, start
+
+
+class TestPackedMul:
+    @settings(max_examples=400, deadline=None)
+    @given(residue_product_case())
+    def test_equals_schoolbook(self, case):
+        p, a, b, stop, start = case
+        assert packed_mul(a, b, p, stop, start) == schoolbook_mul(a, b, p, stop)[start:]
+
+    @pytest.mark.parametrize("p", [2, 3, 9973, 2**61 - 1])
+    def test_edge_inputs(self, p):
+        top = p - 1
+        assert packed_mul([top], [top], p, 1) == [top * top % p]
+        assert packed_mul([0] * 7, [top] * 5, p, 12) == [0] * 12
+        full = [top] * 64
+        assert packed_mul(full, full, p, 127) == schoolbook_mul(full, full, p, 127)
+        assert packed_mul([], full, p, 3) == [0, 0, 0]
 
 
 class TestFieldMake:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from stickelberger import gauss
-from stickelberger.cli import main
+from stickelberger.cli import MAX_SCAN_PMAX, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 GOLDEN_CASES = {
     "scan_irregular_pmax40.txt": ["scan-irregular", "--pmax", "40"],
@@ -96,6 +98,55 @@ class TestExitCodes:
         code, text = run_cli(["gauss", "verify", "-p", "3", "-q", "7"])
         assert code == 1
         assert json.loads(text)["ok"] is False
+
+
+    def test_failed_check_exits_1_with_one_error_line(self, monkeypatch, capsys):
+        # a Horner value that disagrees with the chirp at p = 37's odd root
+        monkeypatch.setattr("stickelberger.regularity.fp_gr_eval", lambda g, x: 1)
+        code, _ = run_cli(["scan-irregular", "--pmax", "40"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "Q(v^5) mod 37" in err[0]
+
+    @pytest.mark.parametrize("command", ["scan-irregular", "suite"])
+    def test_oversized_pmax_exits_2_without_scanning(self, monkeypatch, command):
+        def refuse(p, v=None):
+            raise RuntimeError("scan started")
+
+        monkeypatch.setattr("stickelberger.cli.q_root_scan", refuse)
+        assert run_cli([command, "--pmax", str(MAX_SCAN_PMAX + 1)])[0] == 2
+
+
+def _run_optimized(args):
+    """Run `python -O` with this checkout's sources, so asserts are gone."""
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        timeout=120,
+    )
+
+
+def test_optimized_scan_matches_golden():
+    done = _run_optimized(["-m", "stickelberger.cli", "scan-irregular", "--pmax", "40"])
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN_DIR / "scan_irregular_pmax40.txt").read_text()
+
+
+def test_checks_survive_optimized_mode():
+    script = (
+        "import sys, stickelberger.regularity as r, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "r.fp_gr_eval = lambda g, x: 1\n"
+        "sys.exit(c.main(['scan-irregular', '--pmax', '40']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 class TestPayloads:

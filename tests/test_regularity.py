@@ -1,8 +1,11 @@
+import io
 from fractions import Fraction
 
 import pytest
 
-from stickelberger.arith import canon_power, is_prime, multiplicative_order
+from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
+from stickelberger.cli import main
+from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
 from stickelberger.regularity import (
     b_half_check,
     bernoulli_fraction,
@@ -69,6 +72,51 @@ class TestBernoulliOracle:
                 if is_prime(p) and k % (p - 1) == 0:
                     expected *= p
             assert denom == expected
+
+
+PRIMES_TO_300 = [p for p in range(3, 301) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_300)
+def test_series_oracle_matches_fraction_oracle(p):
+    assert bernoulli_mod_p(p) == {k: bernoulli_mod(k, p) for k in range(2, p - 2, 2)}
+
+
+# the smallest primitive root of every prime to 300, and every primitive
+# root of the primes below 60
+CHIRP_CASES = [
+    (p, v)
+    for p in PRIMES_TO_300
+    for v in range(2, p)
+    if multiplicative_order(v, p) == p - 1 and (p < 60 or v == primitive_root(p))
+]
+
+
+@pytest.mark.parametrize("p,v", CHIRP_CASES)
+def test_chirp_values_match_horner(p, v):
+    q_poly = polynomial_Q(p, v)
+    assert fp_gr_eval_powers(q_poly, v) == [
+        fp_gr_eval(q_poly, canon_power(v, n, p)) for n in range(p - 1)
+    ]
+
+
+def test_literature_irregular_primes_below_1000():
+    buf = io.StringIO()
+    assert main(["scan-irregular", "--pmax", "1000"], out=buf) == 0
+    lines = buf.getvalue().splitlines()
+    assert "# summary scanned=167 irregular=64" in lines
+    rows = {line.split("\t")[0]: line.split("\t") for line in lines[3:-2]}
+    multi_index = {
+        "157": "62,110",
+        "491": "292,336,338",
+        "617": "20,174,338",
+        "647": "236,242,554",
+        "691": "12,200",
+    }
+    for p, indices in multi_index.items():
+        _, verdict, odd_roots, irregular, agreement = rows[p]
+        assert (verdict, irregular, agreement) == ("irregular", indices, "yes")
+        assert len(odd_roots.split(",")) == len(indices.split(","))
 
 
 class TestScan:
