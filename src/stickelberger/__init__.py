@@ -45,7 +45,6 @@ from .gauss import (
     build_record,
     extract_rho,
     gauss_sum,
-    gauss_sum_element,
     pi_adic_profile,
     resolvent_form,
     verify_stickelberger,

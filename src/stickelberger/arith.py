@@ -137,6 +137,13 @@ def _pack(xs, width):
     )
 
 
+def _unpack(n, width, count):
+    """The first `count` width-byte slots of a nonnegative packed integer."""
+    size = width * count
+    raw = (n & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
+
+
 def packed_mul(a, b, p: int, stop: int, start: int = 0) -> list:
     """Coefficients start..stop-1 of the product of the polynomials with
     coefficient lists a and b, reduced mod p.
@@ -149,10 +156,39 @@ def packed_mul(a, b, p: int, stop: int, start: int = 0) -> list:
     if not a or not b:
         return [0] * (stop - start)
     width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    size = width * (stop - start)
     window = (_pack(a, width) * _pack(b, width)) >> (8 * width * start)
-    raw = (window & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width)]
+    return [c % p for c in _unpack(window, width, stop - start)]
+
+
+def _pack_signed(xs, width):
+    positive = _pack([max(x, 0) for x in xs], width)
+    return positive - _pack([max(-x, 0) for x in xs], width)
+
+
+def signed_packed_mul(a, b) -> list:
+    """The full product (length len(a)+len(b)-1) of two nonempty integer
+    coefficient lists of any sign, by Kronecker substitution.
+
+    Each list packs as its positive part minus its negative part, so the
+    product is the exact signed sum of c_k * 2^(8*width*k).  No |c_k|
+    exceeds min(nnz) * max|a| * max|b| < 2^(8*width-1), so adding
+    2^(8*width-1) to every slot makes all slots nonnegative without
+    carries; they are then unpacked like those of `packed_mul` and the
+    offset removed.
+    """
+    count = len(a) + len(b) - 1
+    bound = (
+        min(len(a) - a.count(0), len(b) - b.count(0))
+        * max(map(abs, a))
+        * max(map(abs, b))
+    )
+    if not bound:
+        return [0] * count
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    product = _pack_signed(a, width) * _pack_signed(b, width) + offset
+    return [c - half for c in _unpack(product, width, count)]
 
 
 # ---------------------------------------------------------------------------

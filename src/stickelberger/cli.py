@@ -2,9 +2,11 @@
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (a VerificationError prints one `error:` line), 2 = bad input or
-configuration, among them a --pmax above MAX_SCAN_PMAX.  Reports carry no
-timestamps and all iteration orders are fixed, so identical invocations
-produce identical bytes regardless of the --jobs setting.
+configuration, among them a --pmax above MAX_SCAN_PMAX and a `gauss
+verify` pair beyond MAX_GAUSS_P, MAX_RING_ENTRIES or MAX_FIELD_ORDER.
+Reports carry no timestamps and all iteration orders are fixed, so
+identical invocations produce identical bytes regardless of the --jobs
+setting.
 """
 
 import argparse
@@ -37,6 +39,17 @@ SUITE_INERT_PAIRS = ((5, 3), (7, 2), (11, 3), (5, 7))
 # like pmax^2.2 (2.8 s at 2000); at this bound a single-job scan-irregular
 # took 94 s and 232 MB peak RSS on a 2-vCPU VM with Python 3.11.
 MAX_SCAN_PMAX = 10_000
+
+# Largest pairs that `gauss verify` accepts, with the slowest accepted pair
+# each bound lets through (2-vCPU VM, Python 3.11):
+# - p: the lambda-adic valuations make about 3p exact divisions in
+#   Z[zeta_p], so inert pairs grow like p^3; (181, 19) took 7 s, (257, 2) 28 s.
+# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]; (43, 173) took 5 s.
+# - q^f, the number of field elements the character walk visits; (41, 2)
+#   walks 2^20 of them in 21 s.
+MAX_GAUSS_P = 200
+MAX_RING_ENTRIES = 10_000
+MAX_FIELD_ORDER = 2**20
 
 
 def _emit(text, out):
@@ -145,7 +158,24 @@ def cmd_stickelberger_show(args, out):
     return 0 if ok else 1
 
 
+def _gauss_size_error(p, q):
+    """Why `gauss verify` refuses (p, q) as too large, or None."""
+    if p > MAX_GAUSS_P:
+        return f"-p must be at most {MAX_GAUSS_P}"
+    if (p - 1) * (q - 1) > MAX_RING_ENTRIES:
+        return f"(p-1)(q-1) = {(p - 1) * (q - 1)} exceeds {MAX_RING_ENTRIES}"
+    if is_prime(p) and is_prime(q) and p != q:
+        order = q ** multiplicative_order(q, p)
+        if order > MAX_FIELD_ORDER:
+            return f"the residue field has {order} elements, more than {MAX_FIELD_ORDER}"
+    return None
+
+
 def cmd_gauss_verify(args, out):
+    error = _gauss_size_error(args.p, args.q)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     record = build_record(args.p, args.q, args.hensel_precision, args.valuation_cap)
     payload = {"version": __version__}
     payload.update(record.to_json_obj())

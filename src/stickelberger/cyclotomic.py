@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import VerificationError, is_prime, primitive_root
+from .arith import VerificationError, is_prime, primitive_root, signed_packed_mul
 
 
 class PrecisionExhausted(RuntimeError):
@@ -343,23 +343,31 @@ class BiCycInt:
         )
 
     def __mul__(self, other):
+        """Product by one packed bigint multiplication.
+
+        Each matrix is flattened row by row with row stride 2q-3, the width
+        of a row of the unreduced product, so entry (i, j) sits at
+        i*(2q-3) + j and the 1-D product of the flattened lists is the 2-D
+        convolution, its row i+k read off as one slice.  The zeta_q
+        direction is then reduced row by row, the zeta_p direction column
+        by column.
+        """
         other = self._coerce(other)
         p, q = self.p, self.q
-        conv = [[0] * (2 * q - 3) for _ in range(2 * p - 3)]
-        for i, ra in enumerate(self.coeffs):
-            for j, a in enumerate(ra):
-                if a:
-                    for k, rb in enumerate(other.coeffs):
-                        for l, b in enumerate(rb):
-                            if b:
-                                conv[i + k][j + l] += a * b
-        # reduce the zeta_q direction row by row, then the zeta_p direction
-        half = [_reduce_exponents(q, row) for row in conv]
-        cols = [_reduce_exponents(p, [half[i][j] for i in range(2 * p - 3)]) for j in range(q - 1)]
-        rows = [[cols[j][i] for j in range(q - 1)] for i in range(p - 1)]
-        return BiCycInt(p, q, rows)
+        stride = 2 * q - 3
+        flat = signed_packed_mul(self._flatten(stride), other._flatten(stride))
+        rows = range(0, len(flat), stride)
+        half = [_reduce_exponents(q, flat[i : i + stride]) for i in rows]
+        cols = [_reduce_exponents(p, [row[j] for row in half]) for j in range(q - 1)]
+        return BiCycInt(p, q, zip(*cols))
 
     __rmul__ = __mul__
+
+    def _flatten(self, stride):
+        """The entries as one list, row i starting at i*stride."""
+        pad = (0,) * (stride - (self.q - 1))
+        flat = [c for row in self.coeffs for c in row + pad]
+        return flat[: len(flat) - len(pad)]
 
     def __pow__(self, e):
         if e < 0:

@@ -10,15 +10,15 @@ true); `flags` holds convention diagnostics that never fail a record.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .arith import (
     FieldDesc,
     VerificationError,
-    ff_elements,
+    ff_mul,
     ff_trace,
     field_make,
     primitive_root,
-    residue_char_exponent,
 )
 from .cyclotomic import (
     BiCycInt,
@@ -76,24 +76,37 @@ class GaussSumRecord:
 def _character_grid(fd: FieldDesc):
     """Accumulate the defining sum on the raw exponent grid
     zeta_p^(-c(x)) zeta_q^(Tr x), plus the zeta_q^0 slice before any basis
-    reduction (the sum over trace-zero x)."""
-    p, q = fd.p, fd.q
+    reduction (the sum over trace-zero x), in one walk x = gen^k over
+    k = 0..q^f-2.
+
+    Since zeta_p_image = gen^((q^f-1)/p), the character exponent of gen^k
+    is c = k mod p.  The trace is F_q-linear, so Tr x is the dot product of
+    x with the traces of the f basis elements, each taken once by
+    `ff_trace` (which checks that it lands in F_q).  The walk raises
+    VerificationError unless x first returns to 1 at step q^f-1: that
+    proves every nonzero element was visited exactly once.
+    """
+    p, q, f = fd.p, fd.q, fd.f
+    one = (1,) + (0,) * (f - 1)
+    basis_traces = [ff_trace(tuple(int(i == j) for j in range(f)), fd) for i in range(f)]
     grid = [[0] * q for _ in range(p)]
     slice0 = [0] * p
-    for x in ff_elements(fd):
-        c = residue_char_exponent(x, fd)
-        t = ff_trace(x, fd)
-        grid[-c % p][t] += 1
+    x = one
+    for k in range(fd.order - 1):
+        if k and x == one:
+            raise VerificationError(
+                f"generator of F_{q}^{f} has order {k}, not {fd.order - 1}"
+            )
+        t = sum(map(mul, x, basis_traces)) % q
+        grid[-k % p][t] += 1
         if t == 0:
-            slice0[-c % p] += 1
+            slice0[-k % p] += 1
+        x = ff_mul(x, fd.generator, fd)
+    if x != one:
+        raise VerificationError(
+            f"generator of F_{q}^{f} does not have order {fd.order - 1}"
+        )
     return grid, slice0
-
-
-def gauss_sum_element(fd: FieldDesc) -> BiCycInt:
-    """Just the element g(q) = sum over nonzero x of
-    zeta_p^(-c(x)) zeta_q^(Tr x), exact, without any verification."""
-    grid, _ = _character_grid(fd)
-    return BiCycInt.from_exponent_grid(fd.p, fd.q, grid)
 
 
 def resolvent_form(p: int, q: int, rho: int) -> BiCycInt:
@@ -119,13 +132,21 @@ def extract_rho(g: BiCycInt) -> int:
     if g.is_zero():
         raise ValueError("rho undefined for 0")
     twisted = g.galois(1, primitive_root(q))
-    zeta_p = BiCycInt.from_cyc(CycInt.zeta(p), q)
     candidate = g
     for rho in range(p):
         if candidate == twisted:
             return rho
-        candidate = candidate * zeta_p
+        candidate = _times_zeta_p(candidate)
     raise VerificationError("no rho found: tau-twist is not a zeta_p multiple")
+
+
+def _times_zeta_p(b: BiCycInt) -> BiCycInt:
+    """b * zeta_p as a basis shift: row i moves to row i+1, and the row
+    pushed to zeta_p^(p-1) folds back as -(1 + zeta_p + ... + zeta_p^(p-2))."""
+    top = b.coeffs[-1]
+    rows = [tuple(-c for c in top)]
+    rows += [tuple(a - c for a, c in zip(row, top)) for row in b.coeffs[:-1]]
+    return BiCycInt(b.p, b.q, rows)
 
 
 def _stickelberger_profile(G: CycInt, p, q, precision=None):

@@ -14,6 +14,7 @@ from stickelberger.arith import (
     packed_mul,
     primitive_root,
     residue_char_exponent,
+    signed_packed_mul,
     smallest_prime_with_order,
 )
 
@@ -130,6 +131,40 @@ class TestPackedMul:
         full = [top] * 64
         assert packed_mul(full, full, p, 127) == schoolbook_mul(full, full, p, 127)
         assert packed_mul([], full, p, 3) == [0, 0, 0]
+
+
+@st.composite
+def signed_product_case(draw):
+    # very different magnitudes on the two sides stress the slot width
+    def side():
+        bits = draw(st.sampled_from([1, 7, 8, 64, 500]))
+        top = 1 << bits
+        entry = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0]))
+        return draw(st.lists(entry, min_size=1, max_size=30))
+
+    return side(), side()
+
+
+class TestSignedPackedMul:
+    @settings(max_examples=400, deadline=None)
+    @given(signed_product_case())
+    def test_equals_schoolbook(self, case):
+        a, b = case
+        expected = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        assert signed_packed_mul(a, b) == expected
+
+    def test_edge_inputs(self):
+        assert signed_packed_mul([0, 0], [5, -3, 2]) == [0, 0, 0, 0]
+        assert signed_packed_mul([-1], [-1]) == [1]
+        # 255 * 255 fills one byte exactly; the sign needs a second
+        assert signed_packed_mul([-255, 255], [255]) == [-65025, 65025]
+        big = -(1 << 300)
+        assert signed_packed_mul([big] * 3, [big, 1]) == [
+            big * big, big * big + big, big * big + big, big,
+        ]
 
 
 class TestFieldMake:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from stickelberger import gauss
-from stickelberger.cli import MAX_SCAN_PMAX, main
+from stickelberger.cli import MAX_SCAN_PMAX, _gauss_size_error, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -118,6 +119,51 @@ class TestExitCodes:
         monkeypatch.setattr("stickelberger.cli.q_root_scan", refuse)
         assert run_cli([command, "--pmax", str(MAX_SCAN_PMAX + 1)])[0] == 2
 
+    @pytest.mark.parametrize(
+        "p, q, reason",
+        [
+            (47, 2, "residue field has 8388608 elements"),
+            (101, 2, "residue field has"),
+            (47, 283, "(p-1)(q-1) = 12972"),
+            (257, 2, "-p must be at most"),
+        ],
+    )
+    def test_oversized_gauss_pair_exits_2_without_a_field(
+        self, monkeypatch, capsys, p, q, reason
+    ):
+        def refuse(*args):
+            raise RuntimeError("field built")
+
+        monkeypatch.setattr("stickelberger.cli.build_record", refuse)
+        monkeypatch.setattr("stickelberger.gauss.field_make", refuse)
+        code, text = run_cli(["gauss", "verify", "-p", str(p), "-q", str(q)])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and reason in err[0]
+
+    @pytest.mark.parametrize("pair", [(41, 2), (43, 173), (181, 19), (3, 7)])
+    def test_gauss_pairs_at_the_bounds_are_accepted(self, pair):
+        assert _gauss_size_error(*pair) is None
+
+
+# sha256 of `gauss verify` stdout beyond the (5, 11) golden, recorded before
+# the character walk and the packed Z[zeta_pq] product replaced the
+# per-element grid and the schoolbook product.
+GAUSS_VERIFY_SHA256 = {
+    (17, 103): "4a9044213635580c8cac397db29353932d247730d6270621ae51a53ea8fa604a",
+    (13, 2): "aa6d84f19ec1c507512c7a6c10c4b084ad7c18d2681d67ff3553f3c7d51f3d3a",
+    (19, 191): "73c8eae19ef3f114c31194548024fe1c36c1520f1ae9b57e08e597e6cfb48d34",
+    (43, 2): "89c31247733aaba4cc7030eb96d9acb1359a87ea60452814787b9e4fe50dc3fb",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(GAUSS_VERIFY_SHA256))
+def test_gauss_verify_digest(pair):
+    code, text = run_cli(["gauss", "verify", "-p", str(pair[0]), "-q", str(pair[1])])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GAUSS_VERIFY_SHA256[pair]
+
 
 def _run_optimized(args):
     """Run `python -O` with this checkout's sources, so asserts are gone."""
@@ -146,6 +192,24 @@ def test_checks_survive_optimized_mode():
     done = _run_optimized(["-c", script])
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_walk_check_survives_optimized_mode():
+    # zeta_p_image has order 5, so the walk returns to 1 long before 3^4 - 1
+    script = (
+        "import dataclasses, sys, stickelberger.gauss as g, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = g.field_make\n"
+        "def bad(p, q):\n"
+        "    fd = real(p, q)\n"
+        "    return dataclasses.replace(fd, generator=fd.zeta_p_image)\n"
+        "g.field_make = bad\n"
+        "sys.exit(c.main(['gauss', 'verify', '-p', '5', '-q', '3']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: verification failed: generator")
     assert len(done.stderr.splitlines()) == 1
 
 

@@ -20,6 +20,7 @@ from stickelberger.cyclotomic import (
     lambda_valuation,
     norm,
     _newton_lift,
+    _reduce_exponents,
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -291,6 +292,62 @@ class TestBiCycInt:
         assert bi_lambda_valuation(lam ** 3 * zq3) == 3
         assert bi_lambda_valuation(BiCycInt.from_int(p, q, p)) == p - 1
         assert bi_lambda_valuation(zq3) == 0
+
+
+def schoolbook_bicyc_mul(a, b):
+    """Reference for BiCycInt.__mul__: the quadratic 2-D convolution, then
+    the zeta_q reduction row by row and the zeta_p reduction column by
+    column."""
+    p, q = a.p, a.q
+    conv = [[0] * (2 * q - 3) for _ in range(2 * p - 3)]
+    for i, ra in enumerate(a.coeffs):
+        for j, x in enumerate(ra):
+            for k, rb in enumerate(b.coeffs):
+                for l, y in enumerate(rb):
+                    conv[i + k][j + l] += x * y
+    half = [_reduce_exponents(q, row) for row in conv]
+    cols = [_reduce_exponents(p, [row[j] for row in half]) for j in range(q - 1)]
+    return BiCycInt(p, q, [[col[i] for col in cols] for i in range(p - 1)])
+
+
+@st.composite
+def bicyc_pair(draw):
+    p, q = draw(
+        st.sampled_from([(3, 2), (3, 5), (3, 7), (5, 2), (5, 3), (7, 2), (5, 11), (11, 3)])
+    )
+
+    def matrix():
+        # each side draws its own size, so magnitudes can differ widely
+        bits = draw(st.sampled_from([1, 8, 64, 300, 700]))
+        top = 1 << bits
+        entry = st.one_of(st.just(0), st.integers(-top, top), st.sampled_from([-top, top]))
+        row = st.lists(entry, min_size=q - 1, max_size=q - 1)
+        return BiCycInt(p, q, draw(st.lists(row, min_size=p - 1, max_size=p - 1)))
+
+    return matrix(), matrix()
+
+
+class TestBiCycIntPackedProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(bicyc_pair())
+    def test_equals_schoolbook(self, pair):
+        a, b = pair
+        assert a * b == schoolbook_bicyc_mul(a, b)
+
+    @pytest.mark.parametrize("p, q", [(3, 2), (3, 5), (7, 2), (5, 11)])
+    def test_edge_operands(self, p, q):
+        rng = random.Random(p * q)
+        def matrix(top):
+            rows = [[rng.randint(-top, top) for _ in range(q - 1)] for _ in range(p - 1)]
+            return BiCycInt(p, q, rows)
+
+        big, tiny = matrix(1 << 400), matrix(1)
+        zero = BiCycInt.from_int(p, q, 0)
+        assert big * zero == zero and zero * big == zero
+        assert big * tiny == schoolbook_bicyc_mul(big, tiny)
+        assert tiny * big == schoolbook_bicyc_mul(tiny, big)
+        assert big * big == schoolbook_bicyc_mul(big, big)
+        assert big * 1 == big and big * -1 == -big
 
 
 class TestComplexEmbeddingOracle:

@@ -1,22 +1,34 @@
 import cmath
+import dataclasses
 import json
+import random
 
 import pytest
 
 from stickelberger.arith import (
+    VerificationError,
     ff_elements,
+    ff_mul,
     ff_trace,
     field_make,
     is_prime,
+    multiplicative_order,
     primitive_root,
     residue_char_exponent,
 )
-from stickelberger.cyclotomic import BiCycInt, CycInt, bi_lambda_valuation, lambda_valuation
+from stickelberger.cyclotomic import (
+    BiCycInt,
+    CycInt,
+    _reduce_exponents,
+    bi_lambda_valuation,
+    lambda_valuation,
+)
 from stickelberger.gauss import (
+    _character_grid,
+    _times_zeta_p,
     build_record,
     extract_rho,
     gauss_sum,
-    gauss_sum_element,
     pi_adic_profile,
     resolvent_form,
     verify_stickelberger,
@@ -49,7 +61,7 @@ def direct_complex_sum(fd):
 @pytest.mark.parametrize("pair", SPLIT_PAIRS + INERT_PAIRS)
 def test_construction_against_numeric_oracle(pair):
     fd = field_make(*pair)
-    g = gauss_sum_element(fd)
+    g = gauss_sum(fd).g
     assert abs(complex_value(g) - direct_complex_sum(fd)) < 1e-6
     assert abs(abs(complex_value(g)) - fd.q ** (fd.f / 2)) < 1e-6
 
@@ -271,3 +283,76 @@ class TestDeterminismAndSerialization:
             json.loads(json.dumps(record.g.to_json_obj()))
         )
         assert g2 == record.g
+
+
+def per_element_grid(fd):
+    """Reference for _character_grid: the character exponent and the trace
+    of each field element, computed one element at a time."""
+    grid = [[0] * fd.q for _ in range(fd.p)]
+    slice0 = [0] * fd.p
+    for x in ff_elements(fd):
+        c = -residue_char_exponent(x, fd) % fd.p
+        t = ff_trace(x, fd)
+        grid[c][t] += 1
+        if t == 0:
+            slice0[c] += 1
+    return grid, slice0
+
+
+class TestCharacterWalk:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_equals_per_element_grid_on_every_small_field(self, p):
+        fields = 0
+        for q in range(2, 4097):
+            if is_prime(q) and q != p and q ** multiplicative_order(q, p) <= 4096:
+                fd = field_make(p, q)
+                assert _character_grid(fd) == per_element_grid(fd), (p, q)
+                fields += 1
+        assert fields > 40
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            lambda fd: ff_mul(fd.generator, fd.generator, fd),  # order 40
+            lambda fd: fd.zeta_p_image,  # order 5
+            lambda fd: (0,) * fd.f,  # never returns to 1
+        ],
+    )
+    def test_non_generator_raises(self, generator):
+        fd = field_make(5, 3)
+        bad = dataclasses.replace(fd, generator=generator(fd))
+        with pytest.raises(VerificationError, match="order"):
+            _character_grid(bad)
+
+
+def jacobi_G(fd):
+    """G by a second route: q^f * prod_{k=1}^{p-2} J(chi, chi^k) in
+    Z[zeta_p] (Ireland-Rosen ch. 8), with chi(x) = zeta_p^(-c(x)) taken
+    per element from residue_char_exponent and J(chi, psi) the sum of
+    chi(x) psi(1 - x) over x != 0, 1.  No trace, Z[zeta_pq] or g ** p."""
+    p, q, f = fd.p, fd.q, fd.f
+    one = (1,) + (0,) * (f - 1)
+    c = {x: residue_char_exponent(x, fd) for x in ff_elements(fd)}
+    one_minus = lambda x: tuple((o - a) % q for o, a in zip(one, x))
+    pairs = [(cx, c[one_minus(x)]) for x, cx in c.items() if x != one]
+    G = CycInt.from_int(p, q ** f)
+    for k in range(1, p - 1):
+        counts = [0] * p
+        for cx, cy in pairs:
+            counts[-(cx + k * cy) % p] += 1
+        G = G * CycInt(p, _reduce_exponents(p, counts))
+    return G
+
+
+@pytest.mark.parametrize("pair", SPLIT_PAIRS + INERT_PAIRS + [(17, 103), (13, 2)])
+def test_G_equals_jacobi_product(pair):
+    fd = field_make(*pair)
+    assert gauss_sum(fd).G == jacobi_G(fd)
+
+
+@pytest.mark.parametrize("pair", [(3, 7), (5, 11), (7, 2), (11, 3)])
+def test_times_zeta_p_is_the_product(pair):
+    p, q = pair
+    rng = random.Random(p * q)
+    b = BiCycInt(p, q, [[rng.randint(-99, 99) for _ in range(q - 1)] for _ in range(p - 1)])
+    assert _times_zeta_p(b) == b * BiCycInt.from_cyc(CycInt.zeta(p), q)
