@@ -31,7 +31,6 @@ from .cyclotomic import (
 )
 from .groupring import (
     GroupRingElt,
-    apply_exponent,
     delta_coeffs,
     fp_gr_eval,
     polynomial_P,
@@ -47,7 +46,6 @@ from .gauss import (
     gauss_sum,
     pi_adic_profile,
     resolvent_form,
-    verify_stickelberger,
 )
 from .regularity import RegularityVerdict, b_half_check, bernoulli_mod_p, q_root_scan
 from .principality import (

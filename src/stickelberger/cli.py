@@ -42,11 +42,12 @@ MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
 # each bound lets through (2-vCPU VM, Python 3.11):
-# - p: the lambda-adic valuations make about 3p exact divisions in
-#   Z[zeta_p], so inert pairs grow like p^3; (181, 19) took 7 s, (257, 2) 28 s.
+# - p: the coefficients of g^p grow linearly in p, so the packed products
+#   inside g ** p grow faster than the entry count; (181, 19) took 1.6 s, and
+#   beyond the bound (307, 17) took 42 s, nearly all of it in g ** p.
 # - (p-1)(q-1), the number of entries of g in Z[zeta_pq]; (43, 173) took 5 s.
 # - q^f, the number of field elements the character walk visits; (41, 2)
-#   walks 2^20 of them in 21 s.
+#   walks 2^20 of them in 21 s, (73, 3) 3^12 in 11 s.
 MAX_GAUSS_P = 200
 MAX_RING_ENTRIES = 10_000
 MAX_FIELD_ORDER = 2**20

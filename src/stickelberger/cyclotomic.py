@@ -11,6 +11,8 @@ arbitrary-precision Python ints.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, neg, sub
 
 from .arith import VerificationError, is_prime, primitive_root, signed_packed_mul
 
@@ -37,39 +39,39 @@ def _reduce_exponents(p, vec):
     return out
 
 
-class CycInt:
-    """Element of Z[zeta_p] as a length-(p-1) integer coefficient vector."""
+class CoeffVector:
+    """Immutable integer coefficient vector, the base of the three rings
+    CycInt, BiCycInt and GroupRingElt, which all carry their prime as `p`.
+
+    A subclass supplies its product.  Every element-wise operation goes
+    through `_map`; a subclass with another coefficient shape (BiCycInt's
+    rows) overrides it and `is_zero`.  Int operands are embedded by
+    `_coerce`.
+    """
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *args):
-        raise AttributeError("CycInt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def from_int(cls, p, n):
         return cls(p, (n,) + (0,) * (p - 2))
 
-    @classmethod
-    def zeta(cls, p, k=1):
-        """zeta_p^k, any integer k."""
-        vec = [0] * p
-        vec[k % p] = 1
-        return cls(p, _reduce_exponents(p, vec))
-
     def __repr__(self):
-        return f"CycInt(p={self.p}, {self.coeffs})"
+        return f"{type(self).__name__}(p={self.p}, {self.coeffs})"
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
 
@@ -78,28 +80,66 @@ class CycInt:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return CycInt.from_int(self.p, other)
-        if isinstance(other, CycInt):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        raise TypeError(f"cannot combine CycInt with {type(other).__name__}")
+            return self.from_int(self.p, other)
+        if not isinstance(other, type(self)):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.p != self.p:
+            raise ValueError(f"mixed rings: p={self.p} and p={other.p}")
+        return other
+
+    def _map(self, op, *others):
+        """op applied entry by entry to self and the same-ring `others`."""
+        return type(self)(self.p, map(op, self.coeffs, *[b.coeffs for b in others]))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._map(add, self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._map(sub, self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
+        return self._map(neg)
+
+    def __pow__(self, e):
+        if e < 0:
+            raise ValueError("only nonnegative exponents")
+        result = self._coerce(1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def divexact(self, n):
+        """self / n for an integer n that divides every coefficient."""
+        if not self._map(lambda c: c % n).is_zero():
+            raise ValueError(f"coefficients not divisible by {n}")
+        return self._map(lambda c: c // n)
+
+
+class CycInt(CoeffVector):
+    """Element of Z[zeta_p] as a length-(p-1) integer coefficient vector."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeta(cls, p, k=1):
+        """zeta_p^k, any integer k."""
+        vec = [0] * p
+        vec[k % p] = 1
+        return cls(p, _reduce_exponents(p, vec))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -113,21 +153,6 @@ class CycInt:
         return CycInt(p, _reduce_exponents(p, conv))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("only nonnegative exponents")
-        result = CycInt.from_int(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
@@ -154,11 +179,6 @@ class CycInt:
             coeffs = tuple(c // ell for c in coeffs)
             e += 1
         return e
-
-    def divexact_int(self, n):
-        if any(c % n for c in self.coeffs):
-            raise ValueError(f"coefficients not divisible by {n}")
-        return CycInt(self.p, tuple(c // n for c in self.coeffs))
 
     def evaluate_mod(self, x, modulus):
         """Value of the coefficient polynomial at zeta = x, mod `modulus`."""
@@ -197,68 +217,24 @@ def norm(a: CycInt) -> int:
     return acc.rational_value()
 
 
-@lru_cache(maxsize=None)
-def lambda_element(p) -> CycInt:
-    """lambda = zeta_p - 1, the generator of the prime over p."""
-    return CycInt.zeta(p) - 1
-
-
-@lru_cache(maxsize=None)
-def lambda_complement(p) -> CycInt:
-    """M with lambda * M = p, namely prod_{k=2}^{p-1} (zeta^k - 1)."""
-    acc = CycInt.from_int(p, 1)
-    for k in range(2, p):
-        acc = acc * (CycInt.zeta(p, k) - 1)
-    return acc
-
-
-def lambda_divexact(a: CycInt) -> CycInt:
-    """Exact division by lambda: a * M / p with integer coefficient checks."""
-    return (a * lambda_complement(a.p)).divexact_int(a.p)
-
-
-def lambda_divides(a: CycInt) -> bool:
-    # Z[zeta]/(lambda) = F_p via zeta -> 1
-    return sum(a.coeffs) % a.p == 0
-
-
-def lambda_valuation(a: CycInt, cap=None):
-    """lambda-adic valuation; math.inf for 0.  Raises ValuationCapExceeded
-    past the cap (default 4p)."""
-    if a.is_zero():
-        return math.inf
-    if cap is None:
-        cap = 4 * a.p
-    v = 0
-    while lambda_divides(a):
-        a = lambda_divexact(a)
-        v += 1
-        if v > cap:
-            raise ValuationCapExceeded(f"lambda valuation exceeded cap {cap}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Z[zeta_pq]
 
 
-class BiCycInt:
+class BiCycInt(CoeffVector):
     """Element of Z[zeta_pq] as a (p-1) x (q-1) integer coefficient matrix;
     entry (i, j) multiplies zeta_p^i zeta_q^j.  Reduced modulo both
     cyclotomic polynomials."""
 
-    __slots__ = ("p", "q", "coeffs")
+    __slots__ = ("q",)
 
     def __init__(self, p, q, coeffs):
-        coeffs = tuple(tuple(int(c) for c in row) for row in coeffs)
+        coeffs = tuple(tuple(map(int, row)) for row in coeffs)
         if len(coeffs) != p - 1 or any(len(row) != q - 1 for row in coeffs):
             raise ValueError(f"need a ({p - 1})x({q - 1}) matrix")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BiCycInt is immutable")
 
     @classmethod
     def from_int(cls, p, q, n):
@@ -284,63 +260,22 @@ class BiCycInt:
         ]
         return cls(p, q, rows)
 
-    def __repr__(self):
-        return f"BiCycInt(p={self.p}, q={self.q}, {self.coeffs})"
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BiCycInt.from_int(self.p, self.q, other)
-        if not isinstance(other, BiCycInt):
-            return NotImplemented
-        return (self.p, self.q, self.coeffs) == (other.p, other.q, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.coeffs))
-
     def _coerce(self, other):
+        """Ints and Z[zeta_p] elements embed; a BiCycInt must share q."""
         if isinstance(other, int):
             return BiCycInt.from_int(self.p, self.q, other)
         if isinstance(other, CycInt):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic orders")
-            return BiCycInt.from_cyc(other, self.q)
-        if isinstance(other, BiCycInt):
-            if (other.p, other.q) != (self.p, self.q):
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        raise TypeError(f"cannot combine BiCycInt with {type(other).__name__}")
+            other = BiCycInt.from_cyc(other, self.q)
+        elif isinstance(other, BiCycInt) and other.q != self.q:
+            raise ValueError(f"mixed rings: q={self.q} and q={other.q}")
+        return super()._coerce(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return BiCycInt(
-            self.p,
-            self.q,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ),
-        )
+    def _map(self, op, *others):
+        rows = zip(self.coeffs, *[b.coeffs for b in others])
+        return BiCycInt(self.p, self.q, (map(op, *r) for r in rows))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return BiCycInt(
-            self.p,
-            self.q,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ),
-        )
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return BiCycInt(
-            self.p, self.q, tuple(tuple(-a for a in row) for row in self.coeffs)
-        )
+    def is_zero(self):
+        return not any(map(any, self.coeffs))
 
     def __mul__(self, other):
         """Product by one packed bigint multiplication.
@@ -368,21 +303,6 @@ class BiCycInt:
         pad = (0,) * (stride - (self.q - 1))
         flat = [c for row in self.coeffs for c in row + pad]
         return flat[: len(flat) - len(pad)]
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("only nonnegative exponents")
-        result = BiCycInt.from_int(self.p, self.q, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self):
-        return all(c == 0 for row in self.coeffs for c in row)
 
     def galois(self, s=1, t=1):
         """zeta_p -> zeta_p^s, zeta_q -> zeta_q^t."""
@@ -422,31 +342,51 @@ class BiCycInt:
         )
 
 
-def bi_lambda_divides(a: BiCycInt) -> bool:
-    # Z[zeta_pq]/(lambda) = Z[zeta_q]/(p): collapse zeta_p -> 1, reduce mod p
-    return all(sum(row[j] for row in a.coeffs) % a.p == 0 for j in range(a.q - 1))
+# ---------------------------------------------------------------------------
+# lambda-adic valuations
 
 
-def bi_lambda_divexact(a: BiCycInt) -> BiCycInt:
-    b = a * lambda_complement(a.p)
-    if any(c % a.p for row in b.coeffs for c in row):
-        raise ValueError("not divisible by lambda")
-    return BiCycInt(a.p, a.q, tuple(tuple(c // a.p for c in row) for row in b.coeffs))
+@lru_cache(maxsize=None)
+def lambda_element(p) -> CycInt:
+    """lambda = zeta_p - 1, the generator of the prime over p."""
+    return CycInt.zeta(p) - 1
 
 
-def bi_lambda_valuation(a: BiCycInt, cap=None):
-    """Number of exact divisions by lambda = zeta_p - 1 in Z[zeta_pq]."""
-    if a.is_zero():
-        return math.inf
+def _lambda_quotient(col, p):
+    """col / lambda for a Z[zeta_p] coefficient vector whose coefficient sum
+    S is divisible by p: b_i = (i+1) S/p - (col_0 + ... + col_i), read off
+    the coefficients of lambda * b with zeta^(p-1) folded back."""
+    step = sum(col) // p
+    return [k * step - s for k, s in enumerate(accumulate(col), 1)]
+
+
+def _lambda_valuation(columns, p, cap):
+    """How many times lambda divides every Z[zeta_p] vector in `columns`.
+    Z[zeta_p]/(lambda) = F_p via zeta -> 1, so lambda divides a vector
+    exactly when p divides its coefficient sum."""
     if cap is None:
-        cap = 4 * a.p
+        cap = 4 * p
     v = 0
-    while bi_lambda_divides(a):
-        a = bi_lambda_divexact(a)
+    while all(sum(col) % p == 0 for col in columns):
+        columns = [_lambda_quotient(col, p) for col in columns]
         v += 1
         if v > cap:
             raise ValuationCapExceeded(f"lambda valuation exceeded cap {cap}")
     return v
+
+
+def lambda_valuation(a: CycInt, cap=None):
+    """lambda-adic valuation; math.inf for 0.  Raises ValuationCapExceeded
+    past the cap (default 4p)."""
+    return math.inf if a.is_zero() else _lambda_valuation([a.coeffs], a.p, cap)
+
+
+def bi_lambda_valuation(a: BiCycInt, cap=None):
+    """The same valuation in Z[zeta_pq], which is free over Z[zeta_p] on the
+    zeta_q^j: lambda divides an element when it divides every column."""
+    if a.is_zero():
+        return math.inf
+    return _lambda_valuation(list(zip(*a.coeffs)), a.p, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +495,7 @@ def ideal_valuation(a: CycInt, h: HenselRoot, max_precision=None) -> int:
         max_precision = 16 * h.p
     q = h.q
     e = a.content_valuation(q)
-    reduced = a.divexact_int(q ** e) if e else a
+    reduced = a.divexact(q ** e) if e else a
     precision, root = h.precision, h.root
     while True:
         modulus = q ** precision

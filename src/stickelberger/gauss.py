@@ -162,17 +162,16 @@ def _stickelberger_profile(G: CycInt, p, q, precision=None):
     return profile, matches
 
 
-def pi_adic_profile(record: "GaussSumRecord", valuation_cap=None) -> dict:
+def pi_adic_profile(g: BiCycInt, G: CycInt, p, q, valuation_cap=None) -> dict:
     """Exact lambda-adic valuations of g+1, G+1 and G^p+1, with the branch
     verdicts: v(G+1) = p exactly when p^((q-1)/p) is not a p-th power mod
     q, at least p+1 when it is; correspondingly 2p-1 exactly or at least 2p
     for G^p + 1."""
-    p, q = record.p, record.q
     if (q - 1) % p != 0:
         raise ValueError("pi-adic profile applies to split q only")
-    v_g = bi_lambda_valuation(record.g + 1, valuation_cap)
-    v_G = lambda_valuation(record.G + 1, valuation_cap)
-    v_Gp = lambda_valuation(record.G ** p + 1, valuation_cap)
+    v_g = bi_lambda_valuation(g + 1, valuation_cap)
+    v_G = lambda_valuation(G + 1, valuation_cap)
+    v_Gp = lambda_valuation(G ** p + 1, valuation_cap)
     power_cond = pow(p, (q - 1) // p, q) == 1
     branch_ok = (v_G >= p + 1 and v_Gp >= 2 * p) if power_cond else (
         v_G == p and v_Gp == 2 * p - 1
@@ -242,9 +241,7 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
             zeta_residue = fd.zeta_p_image[0] % q
             flags["profile_canonical_root"] = matches[0]
             flags["profile_matches_character_root"] = matches[0] == zeta_residue
-        pi_profile = pi_adic_profile(
-            GaussSumRecord(p, q, f, v, g, None, G, rho, None), valuation_cap
-        )
+        pi_profile = pi_adic_profile(g, G, p, q, valuation_cap)
         checks["pi_adic_branch_exact"] = pi_profile.pop("branch_exact")
         flags.update(pi_profile)
     else:
@@ -305,25 +302,3 @@ def _is_unit_times_power(g_cyc: CycInt, q, f):
     return all(abs(c) == magnitude for c in g_cyc.coeffs) and len(
         set(g_cyc.coeffs)
     ) == 1
-
-
-def verify_stickelberger(record: GaussSumRecord, hensel_precision=None):
-    """Stand-alone factorization check for an existing record: the f = 1
-    path re-derives the per-ideal profile; the f > 1 path re-checks the
-    norm certificate against the S2 weight."""
-    p, q = record.p, record.q
-    if record.f == 1:
-        profile, matches = _stickelberger_profile(record.G, p, q, hensel_precision)
-        return {
-            "profile": profile,
-            "expected": {t: t for t in range(1, p)},
-            "unique_relabel": len(matches) == 1,
-            "canonical_roots": matches,
-        }
-    s2 = polynomial_S2(p, q, record.v)
-    return {
-        "norm_certificate": abs(norm(record.g_cyc))
-        == q ** (record.f * s2.coefficient_sum()),
-        "conjugate_certificate": record.g * record.g.conj() == q ** record.f,
-        "s2_coeffs": list(s2.coeffs[: (p - 1) // record.f]),
-    }

@@ -8,27 +8,13 @@ the chosen primitive root v; exponent arithmetic is mod p-1.
 """
 
 from .arith import VerificationError, canon_power, multiplicative_order, packed_mul
-from .cyclotomic import CycInt, galois_apply
+from .cyclotomic import CoeffVector
 
 
-class GroupRingElt:
+class GroupRingElt(CoeffVector):
     """Element of Z[G_p] as a length-(p-1) integer vector over sigma^i."""
 
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != p - 1:
-            raise ValueError(f"need {p - 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GroupRingElt is immutable")
-
-    @classmethod
-    def from_int(cls, p, n):
-        return cls(p, (n,) + (0,) * (p - 2))
+    __slots__ = ()
 
     @classmethod
     def sigma_power(cls, p, i, coefficient=1):
@@ -36,51 +22,7 @@ class GroupRingElt:
         vec[i % (p - 1)] = coefficient
         return cls(p, vec)
 
-    def __repr__(self):
-        return f"GroupRingElt(p={self.p}, {self.coeffs})"
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElt.from_int(self.p, other)
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return GroupRingElt.from_int(self.p, other)
-        if isinstance(other, GroupRingElt):
-            if other.p != self.p:
-                raise ValueError("mixed group rings")
-            return other
-        raise TypeError(f"cannot combine GroupRingElt with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return GroupRingElt(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return GroupRingElt(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return GroupRingElt(self.p, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElt(self.p, tuple(other * a for a in self.coeffs))
         other = self._coerce(other)
         n = self.p - 1
         out = [0] * n
@@ -93,16 +35,8 @@ class GroupRingElt:
 
     __rmul__ = __mul__
 
-    def scale_divexact(self, n):
-        if any(c % n for c in self.coeffs):
-            raise ValueError(f"coefficients not divisible by {n}")
-        return GroupRingElt(self.p, tuple(c // n for c in self.coeffs))
-
     def coefficient_sum(self):
         return sum(self.coeffs)
-
-    def support_size(self):
-        return sum(1 for c in self.coeffs if c)
 
 
 def fp_gr_eval(g: GroupRingElt, x: int) -> int:
@@ -252,74 +186,3 @@ def s2_refold_identity_holds(p, q, v) -> bool:
         if p * s2.coeffs[i] != sum(s.coeffs[i + j * m] for j in range(f)):
             return False
     return all(c == 0 for c in s2.coeffs[m:])
-
-
-def polynomial_T_reduced(p, v) -> GroupRingElt:
-    """T = v^(-(p-2)) * prod_{k != 1} (sigma - v^k), expanded exactly in
-    Z[x] and folded mod x^(p-1) - 1.  Coefficients grow like v^(p^2/2), so
-    callers bound p themselves."""
-    n = p - 1
-    coeffs = [0] * n
-    coeffs[0] = canon_power(v, -(p - 2), p)
-    for k in range(p - 1):
-        if k == 1:
-            continue
-        root = canon_power(v, k, p)
-        shifted = [0] * n
-        for i, c in enumerate(coeffs):
-            if c:
-                shifted[(i + 1) % n] += c
-                shifted[i] -= root * c
-        coeffs = shifted
-    return GroupRingElt(p, coeffs)
-
-
-def polynomial_R(p, v) -> GroupRingElt:
-    """R with P = T + p*R; exact, degree < p-2."""
-    diff = polynomial_P(p, v) - polynomial_T_reduced(p, v)
-    r = diff.scale_divexact(p)
-    if r.coeffs[p - 2] != 0:
-        raise VerificationError("R must have degree < p-2")
-    return r
-
-
-def split_pos_neg(g: GroupRingElt):
-    """g = pos - neg with both parts nonnegative."""
-    pos = GroupRingElt(g.p, tuple(c if c > 0 else 0 for c in g.coeffs))
-    neg = GroupRingElt(g.p, tuple(-c if c < 0 else 0 for c in g.coeffs))
-    return pos, neg
-
-
-def apply_exponent(g: GroupRingElt, a: CycInt, v: int) -> CycInt:
-    """Galois-twisted exponentiation a^(sum c_i sigma^i) with sigma:
-    zeta -> zeta^v; every coefficient must be nonnegative."""
-    if g.p != a.p:
-        raise ValueError("mismatched p")
-    if any(c < 0 for c in g.coeffs):
-        raise ValueError(
-            "negative exponent coefficient; split into a numerator/denominator "
-            "pair with split_pos_neg first"
-        )
-    result = CycInt.from_int(a.p, 1)
-    for i, c in enumerate(g.coeffs):
-        if c:
-            result = result * galois_apply(canon_power(v, i, a.p), a) ** c
-    return result
-
-
-def polynomial_Qd(p, v, d) -> GroupRingElt:
-    """The 0/1 annihilator polynomial from the cyclotomic-function family:
-    Q_d = sum over i with v^((p-1)/2-i) + v^((p-1)/2-i+ind_v(d)) > p.
-
-    Provided for exploration; no annihilation oracle is available at desk
-    scale, so nothing downstream depends on it.
-    """
-    if not 1 <= d <= p - 2:
-        raise ValueError("d must lie in [1, p-2]")
-    ind = _dlog_table(p, v)[d % p]
-    half = (p - 1) // 2
-    coeffs = [0] * (p - 1)
-    for i in range(p - 1):
-        if canon_power(v, half - i, p) + canon_power(v, half - i + ind, p) > p:
-            coeffs[i] = 1
-    return GroupRingElt(p, coeffs)

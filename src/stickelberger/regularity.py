@@ -185,11 +185,6 @@ def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:
     )
 
 
-def delta_floor_form(p: int, v: int):
-    """Independent form of the deltas: -floor(v^(-i) * v / p)."""
-    return [-((canon_power(v, -i, p) * v) // p) for i in range(p - 1)]
-
-
 def scan_range(p_max: int, v_choice=None):
     """RegularityVerdicts for every odd prime p <= p_max, ascending."""
     out = []
@@ -208,6 +203,5 @@ __all__ = [
     "q_root_scan",
     "HalfBernoulliCheck",
     "b_half_check",
-    "delta_floor_form",
     "scan_range",
 ]

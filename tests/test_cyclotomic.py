@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickelberger.arith import is_prime
+from stickelberger.groupring import GroupRingElt
 from stickelberger.cyclotomic import (
     BiCycInt,
     CycInt,
@@ -15,15 +17,31 @@ from stickelberger.cyclotomic import (
     galois_apply,
     hensel_roots,
     ideal_valuation,
-    lambda_complement,
     lambda_element,
     lambda_valuation,
     norm,
+    _lambda_quotient,
     _newton_lift,
     _reduce_exponents,
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+PRIMES_TO_60 = [p for p in range(3, 60) if is_prime(p)]
+
+
+@lru_cache(maxsize=None)
+def lambda_complement(p):
+    """M with lambda * M = p, namely prod_{k=2}^{p-1} (zeta^k - 1)."""
+    acc = CycInt.from_int(p, 1)
+    for k in range(2, p):
+        acc = acc * (CycInt.zeta(p, k) - 1)
+    return acc
+
+
+def reference_lambda_divexact(a):
+    """Reference for the running-sum quotient: a / lambda = a * M / p
+    through a general product, with integer coefficient checks."""
+    return (a * lambda_complement(a.p)).divexact(a.p)
 
 
 def random_cyc(rng, p, bound=50):
@@ -48,7 +66,7 @@ class TestCycIntRing:
             assert CycInt.zeta(p) * CycInt.zeta(p, p - 1) == 1
 
     def test_lambda_complement(self):
-        for p in SMALL_PRIMES:
+        for p in PRIMES_TO_60:
             assert lambda_element(p) * lambda_complement(p) == p
 
     def test_multiplicative_identity(self):
@@ -80,6 +98,45 @@ class TestCycIntRing:
     def test_power_basis_length_enforced(self):
         with pytest.raises(ValueError):
             CycInt(5, (1, 2, 3))
+
+
+class TestCoeffVector:
+    """The behaviour the three rings share through their one base."""
+
+    ELEMENTS = [
+        CycInt(5, (1, -2, 0, 4)),
+        BiCycInt(5, 3, [[1, 0], [-2, 3], [0, 0], [4, -1]]),
+        GroupRingElt(5, (1, -2, 0, 4)),
+    ]
+
+    @pytest.mark.parametrize("a", ELEMENTS, ids=lambda a: type(a).__name__)
+    def test_shared_arithmetic(self, a):
+        assert a - a == 0 and (a - a).is_zero() and not a.is_zero()
+        assert -a + a == 0 and 3 - a == -(a - 3) and 2 + a == a + 2
+        assert a ** 0 == 1 and a ** 3 == a * a * a
+        assert (a * 6).divexact(3) == a * 2
+        assert hash(a + 0) == hash(a) and a + 0 == a
+        with pytest.raises(ValueError):
+            (a * 2 + 1).divexact(2)
+        with pytest.raises(ValueError):
+            a ** -1
+        with pytest.raises(AttributeError):
+            a.p = 7
+
+    def test_rings_do_not_mix(self):
+        cyc, bicyc, gr = self.ELEMENTS
+        assert cyc != gr and gr != cyc and cyc != bicyc
+        with pytest.raises(TypeError):
+            cyc + gr
+        with pytest.raises(ValueError):
+            gr + GroupRingElt.from_int(7, 1)
+        with pytest.raises(ValueError):
+            bicyc + BiCycInt.from_int(5, 7, 1)
+        with pytest.raises(ValueError):
+            bicyc + BiCycInt.from_int(7, 3, 1)
+        with pytest.raises(ValueError):
+            bicyc + CycInt.zeta(7)
+        assert bicyc + cyc == bicyc + BiCycInt.from_cyc(cyc, 3)
 
 
 class TestGalois:
@@ -154,6 +211,73 @@ class TestLambdaValuation:
         lam = lambda_element(5)
         with pytest.raises(ValuationCapExceeded):
             lambda_valuation(lam ** 30, cap=10)
+
+    def test_bi_cap_signal(self):
+        lam = BiCycInt.from_cyc(lambda_element(5), 3)
+        with pytest.raises(ValuationCapExceeded):
+            bi_lambda_valuation(lam ** 30, cap=10)
+        assert bi_lambda_valuation(BiCycInt.from_int(5, 3, 0)) == math.inf
+
+
+@st.composite
+def big_cyc(draw, primes=PRIMES_TO_60, bits=400):
+    """A CycInt with p up to 59 and entries of up to `bits` bits."""
+    p = draw(st.sampled_from(primes))
+    top = 1 << draw(st.sampled_from([1, 8, 64, bits]))
+    entry = st.one_of(st.just(0), st.integers(-top, top), st.sampled_from([-top, top]))
+    return CycInt(p, draw(st.lists(entry, min_size=p - 1, max_size=p - 1)))
+
+
+def lambda_divisible(a):
+    """a with its constant term shifted so that p divides the coefficient
+    sum, which makes it a multiple of lambda."""
+    return a - sum(a.coeffs) % a.p
+
+
+class TestLambdaQuotient:
+    """The O(p) running-sum division by lambda against the product with
+    lambda_complement that it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(big_cyc())
+    def test_quotient_times_lambda_is_input(self, a):
+        a = lambda_divisible(a)
+        quotient = CycInt(a.p, _lambda_quotient(a.coeffs, a.p))
+        assert quotient * lambda_element(a.p) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_cyc())
+    def test_matches_reference(self, a):
+        a = lambda_divisible(a)
+        expected = reference_lambda_divexact(a)
+        assert CycInt(a.p, _lambda_quotient(a.coeffs, a.p)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_cyc(), st.integers(0, 70))
+    def test_valuation_is_additive_in_lambda_powers(self, b, k):
+        if b.is_zero():
+            return
+        k %= 2 * b.p
+        lifted = b * lambda_element(b.p) ** k
+        cap = 10**6
+        assert lambda_valuation(lifted, cap) == k + lambda_valuation(b, cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_cyc(primes=SMALL_PRIMES, bits=200), st.sampled_from([2, 3, 5, 7, 11]))
+    def test_bi_valuation_of_embedded_element(self, a, q):
+        if q == a.p:
+            return
+        assert bi_lambda_valuation(BiCycInt.from_cyc(a, q)) == lambda_valuation(a)
+
+    @pytest.mark.parametrize("p, q", [(3, 2), (3, 7), (5, 2), (5, 11), (7, 3)])
+    def test_bi_valuation_is_additive_in_lambda_powers(self, p, q):
+        rng = random.Random(p * 100 + q)
+        lam = BiCycInt.from_cyc(lambda_element(p), q)
+        for _ in range(20):
+            rows = [[rng.randint(-(1 << 90), 1 << 90) for _ in range(q - 1)] for _ in range(p - 1)]
+            b = BiCycInt(p, q, rows)
+            k = rng.randrange(2 * p)
+            assert bi_lambda_valuation(b * lam ** k) == k + bi_lambda_valuation(b)
 
 
 class TestHensel:

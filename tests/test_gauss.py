@@ -22,17 +22,19 @@ from stickelberger.cyclotomic import (
     _reduce_exponents,
     bi_lambda_valuation,
     lambda_valuation,
+    norm,
 )
 from stickelberger.gauss import (
     _character_grid,
+    _stickelberger_profile,
     _times_zeta_p,
     build_record,
     extract_rho,
     gauss_sum,
     pi_adic_profile,
     resolvent_form,
-    verify_stickelberger,
 )
+from stickelberger.groupring import polynomial_S2
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
 INERT_PAIRS = [(5, 3), (7, 2), (11, 3), (5, 7)]
@@ -128,10 +130,13 @@ class TestSplitStructure:
 
     @pytest.mark.parametrize("pair", SPLIT_PAIRS)
     def test_verify_stickelberger_op(self, pair):
+        # re-deriving the per-ideal profile from G alone reproduces the
+        # record's profile and its stickelberger_profile_unique_relabel check
         record = build_record(*pair)
-        result = verify_stickelberger(record)
-        assert result["unique_relabel"]
-        assert len(result["canonical_roots"]) == 1
+        profile, matches = _stickelberger_profile(record.G, record.p, record.q)
+        assert profile == record.valuation_profile
+        assert len(matches) == 1
+        assert record.checks["stickelberger_profile_unique_relabel"]
 
 
 class TestResolvent:
@@ -206,10 +211,14 @@ class TestInertStructure:
 
     @pytest.mark.parametrize("pair", INERT_PAIRS)
     def test_norm_certificate(self, pair):
+        # recomputed outside gauss_sum, then read from the record's checks
         record = build_record(*pair)
-        result = verify_stickelberger(record)
-        assert result["norm_certificate"]
-        assert result["conjugate_certificate"]
+        p, q, f = record.p, record.q, record.f
+        weight = polynomial_S2(p, q, record.v).coefficient_sum()
+        assert abs(norm(record.g_cyc)) == q ** (f * weight)
+        assert record.g * record.g.conj() == q**f
+        assert record.checks["norm_g_equals_q_to_s2_weight"]
+        assert record.checks["g_times_conj_equals_q_to_f"]
 
     @pytest.mark.parametrize("pair", INERT_PAIRS)
     def test_G_one_step_above_split_floor(self, pair):
@@ -258,12 +267,13 @@ class TestPiAdicSharpness:
 
     def test_profile_op(self):
         record = build_record(5, 11)
-        prof = pi_adic_profile(record)
+        prof = pi_adic_profile(record.g, record.G, 5, 11)
         assert prof["v_g_plus_1"] >= 1
         assert prof["v_G_plus_1"] == 5
         assert prof["branch_exact"]
+        inert = build_record(5, 3)
         with pytest.raises(ValueError):
-            pi_adic_profile(build_record(5, 3))
+            pi_adic_profile(inert.g, inert.G, 5, 3)
 
 
 class TestDeterminismAndSerialization:

@@ -1,22 +1,16 @@
 import pytest
 
-from stickelberger.arith import is_prime, primitive_root, smallest_prime_with_order
-from stickelberger.cyclotomic import CycInt
+from stickelberger.arith import canon_power, is_prime, primitive_root, smallest_prime_with_order
 from stickelberger.groupring import (
     GroupRingElt,
-    apply_exponent,
     delta_coeffs,
     fp_gr_eval,
     polynomial_P,
     polynomial_Q,
     polynomial_Q1_factorization,
-    polynomial_Qd,
-    polynomial_R,
     polynomial_S2,
-    polynomial_T_reduced,
     q_identity_holds,
     s2_refold_identity_holds,
-    split_pos_neg,
     stickelberger_S,
 )
 
@@ -173,54 +167,34 @@ class TestS2:
             assert found == 3
 
 
+def polynomial_T_reduced(p, v):
+    """T = v^(-(p-2)) * prod_{k != 1} (sigma - v^k), expanded exactly in
+    Z[x] and folded mod x^(p-1) - 1: a route to P mod p that shares no code
+    with polynomial_P.  Coefficients grow like v^(p^2/2)."""
+    n = p - 1
+    coeffs = [0] * n
+    coeffs[0] = canon_power(v, -(p - 2), p)
+    for k in range(p - 1):
+        if k == 1:
+            continue
+        root = canon_power(v, k, p)
+        shifted = [0] * n
+        for i, c in enumerate(coeffs):
+            if c:
+                shifted[(i + 1) % n] += c
+                shifted[i] -= root * c
+        coeffs = shifted
+    return GroupRingElt(p, coeffs)
+
+
 class TestTandR:
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 60])
     def test_P_minus_T_divisible_by_p_with_low_degree(self, p):
         v = primitive_root(p)
         t_elt = polynomial_T_reduced(p, v)
-        r_elt = polynomial_R(p, v)  # asserts divisibility and degree internally
+        r_elt = (polynomial_P(p, v) - t_elt).divexact(p)  # raises unless p | P - T
         assert polynomial_P(p, v) == t_elt + r_elt * p
         assert r_elt.coeffs[p - 2] == 0
-
-
-class TestApplyExponent:
-    def test_identity_exponent(self):
-        a = CycInt(5, (2, -1, 0, 7))
-        one = GroupRingElt.from_int(5, 1)
-        assert apply_exponent(one, a, 2) == a
-
-    def test_rational_base(self):
-        g = GroupRingElt(5, (2, 0, 1, 1))
-        n = CycInt.from_int(5, 3)
-        assert apply_exponent(g, n, 2) == CycInt.from_int(5, 3**4)
-
-    def test_zeta_through_P(self):
-        # exponent bookkeeping: sigma^i(zeta) = zeta^(v^i), so the total
-        # exponent is sum rep(v^-i) * rep(v^i) = 29 -> zeta^4 for p = 5
-        res = apply_exponent(polynomial_P(5, 2), CycInt.zeta(5), 2)
-        assert res == CycInt.zeta(5, 4)
-
-    def test_negative_coefficients_rejected(self):
-        q5 = polynomial_Q(5, 2)
-        with pytest.raises(ValueError, match="split"):
-            apply_exponent(q5, CycInt.zeta(5), 2)
-        pos, neg = split_pos_neg(q5)
-        assert pos - neg == q5
-        assert all(c >= 0 for c in pos.coeffs + neg.coeffs)
-
-
-class TestQd:
-    @pytest.mark.parametrize("p", [5, 7, 11, 13, 37])
-    def test_structure(self, p):
-        v = primitive_root(p)
-        qd1 = polynomial_Qd(p, v, 1)
-        assert set(qd1.coeffs) <= {0, 1}
-        # d = 1: index condition is 2 * rep > p, hit by half the residues
-        assert qd1.support_size() == (p - 1) // 2
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            polynomial_Qd(7, 3, 6)
 
 
 class TestGroupRingBasics:
@@ -231,6 +205,6 @@ class TestGroupRingBasics:
 
     def test_scale_divexact(self):
         g = GroupRingElt(5, (5, -10, 0, 20))
-        assert g.scale_divexact(5).coeffs == (1, -2, 0, 4)
+        assert g.divexact(5).coeffs == (1, -2, 0, 4)
         with pytest.raises(ValueError):
-            GroupRingElt(5, (1, 0, 0, 0)).scale_divexact(5)
+            GroupRingElt(5, (1, 0, 0, 0)).divexact(5)

@@ -1,0 +1,58 @@
+"""The names `perfbench/tracer.py` rebinds at run time must exist where it
+looks for them.  A rename or a method moved into a base class would
+otherwise break `perfbench/run.py --trace 1` with an AttributeError, or
+silently drop its spans.  The tracer is read from its file, never
+imported as a package and never installed.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from stickelberger.cyclotomic import BiCycInt, CycInt
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    code = compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+WRAPPED = _load_tracer().WRAPPED
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_wrapped_path_resolves(name):
+    owner = importlib.import_module("stickelberger." + name.split(".")[0])
+    *cls_path, attr = WRAPPED[name].split(".")
+    for part in cls_path:
+        owner = getattr(owner, part)
+    assert callable(getattr(owner, attr))
+    if cls_path:
+        # the tracer rebinds class attributes in vars(cls) only
+        assert attr in vars(owner), f"{WRAPPED[name]} is inherited, not defined"
+
+
+def test_class_level_paths_are_the_two_products():
+    class_paths = sorted(path for path in WRAPPED.values() if "." in path)
+    assert class_paths == ["BiCycInt.__mul__", "CycInt.__mul__"]
+
+
+def test_term_pair_hook_can_coerce():
+    # the term-pair count calls a._coerce(b) on the product's operands
+    assert CycInt.zeta(5)._coerce(2) == CycInt.from_int(5, 2)
+    assert BiCycInt.from_int(5, 3, 1)._coerce(CycInt.zeta(5)) == BiCycInt.from_cyc(
+        CycInt.zeta(5), 3
+    )
+
+
+def test_bernoulli_cache_is_a_list():
+    import stickelberger.regularity as regularity
+
+    assert isinstance(regularity._bernoulli_cache, list)
