@@ -21,8 +21,6 @@ from .cyclotomic import (
     BiCycInt,
     CycInt,
     HenselRoot,
-    PrecisionExhausted,
-    ValuationCapExceeded,
     galois_apply,
     hensel_roots,
     ideal_valuation,

@@ -8,7 +8,7 @@ that pins down the p-th power residue character.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -287,19 +287,17 @@ def _is_irreducible(modulus, q, f):
     return True
 
 
+def _vectors(q, f):
+    """Every vector of F_q^f, zero first, the constant coefficient moving
+    fastest: the one enumeration order of the field searches."""
+    return (v[::-1] for v in product(range(q), repeat=f))
+
+
 def _find_modulus(q, f):
-    # monic x^f + sum c_i x^i, low coefficients enumerated as base-q digits
-    for n in range(q ** f):
-        digits = []
-        m = n
-        for _ in range(f):
-            digits.append(m % q)
-            m //= q
-        if digits[0] == 0:
-            continue
-        modulus = tuple(digits) + (1,)
-        if _is_irreducible(modulus, q, f):
-            return modulus
+    # monic x^f + low, low enumerated by _vectors with nonzero constant term
+    for low in _vectors(q, f):
+        if low[0] and _is_irreducible(low + (1,), q, f):
+            return low + (1,)
     raise VerificationError(f"no irreducible degree-{f} polynomial over F_{q}")
 
 
@@ -307,12 +305,7 @@ def _find_generator(fd_modulus, q, f):
     group_order = q ** f - 1
     cofactors = [group_order // ell for ell in factorize(group_order)]
     one = (1,) + (0,) * (f - 1)
-    for coeffs in product(range(q), repeat=f):
-        # product() varies the last coordinate fastest; reverse so the
-        # constant coefficient is the fastest-moving digit.
-        cand = tuple(reversed(coeffs))
-        if all(c == 0 for c in cand):
-            continue
+    for cand in islice(_vectors(q, f), 1, None):
         if all(_poly_powmod(cand, c, fd_modulus, q) != one for c in cofactors):
             return cand
     raise VerificationError("multiplicative group of a finite field is cyclic")
@@ -358,12 +351,8 @@ def ff_pow(a, e, fd: FieldDesc):
 
 
 def ff_elements(fd: FieldDesc):
-    """All nonzero field elements, in a fixed deterministic order."""
-    zero = (0,) * fd.f
-    for coeffs in product(range(fd.q), repeat=fd.f):
-        cand = tuple(reversed(coeffs))
-        if cand != zero:
-            yield cand
+    """All nonzero field elements, in the order of the generator search."""
+    return islice(_vectors(fd.q, fd.f), 1, None)
 
 
 def ff_trace(x, fd: FieldDesc) -> int:

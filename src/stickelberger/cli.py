@@ -1,7 +1,8 @@
 """Batch verification front end.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
-(a VerificationError prints one `error:` line), 2 = bad input or
+(a VerificationError prints one `error:` line; a valuation that passes
+the norm bound of its element is one), 2 = bad input or
 configuration, among them a --pmax above MAX_SCAN_PMAX and a `gauss
 verify` pair beyond MAX_GAUSS_P, MAX_RING_ENTRIES or MAX_FIELD_ORDER.
 Reports carry no timestamps and all iteration orders are fixed, so
@@ -16,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .arith import VerificationError, is_prime, multiplicative_order, primitive_root
-from .cyclotomic import PrecisionExhausted, ValuationCapExceeded
 from .gauss import build_record
 from .groupring import (
     delta_coeffs,
@@ -75,36 +75,38 @@ def _primes_upto(n):
     return [p for p in range(3, n + 1) if is_prime(p)]
 
 
+def _scan_row(vd):
+    """The TSV row of one verdict, with what the summary needs, so that
+    the verdict (and its p/2 root exponents) can be dropped at once."""
+    row = "\t".join(
+        (
+            str(vd.p),
+            vd.verdict,
+            ",".join(str(m) for m in sorted(vd.odd_roots)) or "-",
+            ",".join(str(k) for k in sorted(vd.irregular_indices)) or "-",
+            "yes" if vd.agreement else "NO",
+        )
+    )
+    return vd.p, vd.verdict == "irregular", vd.agreement, row
+
+
 def cmd_scan_irregular(args, out):
     primes = _primes_upto(args.pmax)
+    # rows are printed only after the whole scan, so a failed check leaves
+    # stdout empty
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(_scan_worker, primes))
+            rows = list(map(_scan_row, pool.map(_scan_worker, primes)))
     else:
-        verdicts = [_scan_worker(p) for p in primes]
+        rows = [_scan_row(_scan_worker(p)) for p in primes]
     _emit(f"# stickelberger {__version__}", out)
     _emit(f"# scan-irregular pmax={args.pmax}", out)
     _emit("p\tverdict\todd_roots\tirregular_indices\tagreement", out)
-    failures = []
-    irregular_count = 0
-    for vd in verdicts:
-        if vd.verdict == "irregular":
-            irregular_count += 1
-        if not vd.agreement:
-            failures.append(vd.p)
-        _emit(
-            "\t".join(
-                (
-                    str(vd.p),
-                    vd.verdict,
-                    ",".join(str(m) for m in sorted(vd.odd_roots)) or "-",
-                    ",".join(str(k) for k in sorted(vd.irregular_indices)) or "-",
-                    "yes" if vd.agreement else "NO",
-                )
-            ),
-            out,
-        )
-    _emit(f"# summary scanned={len(verdicts)} irregular={irregular_count}", out)
+    for *_, row in rows:
+        _emit(row, out)
+    irregular_count = sum(irregular for _, irregular, _, _ in rows)
+    failures = [p for p, _, agreement, _ in rows if not agreement]
+    _emit(f"# summary scanned={len(rows)} irregular={irregular_count}", out)
     _emit(f"# failures {','.join(map(str, failures)) if failures else '-'}", out)
     return 1 if failures else 0
 
@@ -177,7 +179,7 @@ def cmd_gauss_verify(args, out):
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    record = build_record(args.p, args.q, args.hensel_precision, args.valuation_cap)
+    record = build_record(args.p, args.q)
     payload = {"version": __version__}
     payload.update(record.to_json_obj())
     _json_dump(payload, out)
@@ -302,12 +304,6 @@ def build_parser():
     verify = gauss_sub.add_parser("verify", help="build and verify g(q)")
     _add_prime_arg(verify, "-p", "odd prime")
     _add_prime_arg(verify, "-q", "prime distinct from p")
-    verify.add_argument(
-        "--hensel-precision", type=int, default=None, help="initial q-adic precision"
-    )
-    verify.add_argument(
-        "--valuation-cap", type=int, default=None, help="lambda-adic valuation cap"
-    )
     verify.set_defaults(func=cmd_gauss_verify)
 
     prin = sub.add_parser("principality", help="p-principality tests")
@@ -339,7 +335,7 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("pmax", "jobs", "bound", "coeff_bound", "hensel_precision", "valuation_cap"):
+    for name in ("pmax", "jobs", "bound", "coeff_bound"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
@@ -352,7 +348,7 @@ def main(argv=None, out=None):
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, PrecisionExhausted, ValuationCapExceeded) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,14 +17,6 @@ from operator import add, neg, sub
 from .arith import VerificationError, is_prime, primitive_root, signed_packed_mul
 
 
-class PrecisionExhausted(RuntimeError):
-    """A q-adic evaluation needed more precision than the configured cap."""
-
-
-class ValuationCapExceeded(RuntimeError):
-    """A lambda-adic valuation exceeded its cap without terminating."""
-
-
 def _reduce_exponents(p, vec):
     """Fold a coefficient vector indexed by exponents 0..len-1 (len < 2p-1)
     into the reduced basis of length p-1."""
@@ -169,17 +161,6 @@ class CycInt(CoeffVector):
     def conj(self):
         return galois_apply(self.p - 1, self)
 
-    def content_valuation(self, ell):
-        """Largest e with ell^e dividing every coefficient (0 element -> inf)."""
-        if self.is_zero():
-            return math.inf
-        e = 0
-        coeffs = self.coeffs
-        while all(c % ell == 0 for c in coeffs):
-            coeffs = tuple(c // ell for c in coeffs)
-            e += 1
-        return e
-
     def evaluate_mod(self, x, modulus):
         """Value of the coefficient polynomial at zeta = x, mod `modulus`."""
         acc = 0
@@ -189,10 +170,6 @@ class CycInt(CoeffVector):
 
     def to_json_obj(self):
         return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["p"], tuple(int(c) for c in obj["coeffs"]))
 
 
 def galois_apply(t, a: CycInt) -> CycInt:
@@ -335,12 +312,6 @@ class BiCycInt(CoeffVector):
             "coeffs": [[str(c) for c in row] for row in self.coeffs],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(
-            obj["p"], obj["q"], [[int(c) for c in row] for row in obj["coeffs"]]
-        )
-
 
 # ---------------------------------------------------------------------------
 # lambda-adic valuations
@@ -360,33 +331,42 @@ def _lambda_quotient(col, p):
     return [k * step - s for k, s in enumerate(accumulate(col), 1)]
 
 
-def _lambda_valuation(columns, p, cap):
+def _valuation_bound(p, coeffs):
+    """An upper bound for the valuation of a nonzero element of Z[zeta_p]
+    with these coefficients at any prime ideal over a rational prime ell:
+    v <= v_ell(N(a)) <= (p-1) * log2(sum |a_i|), since every conjugate of a
+    has absolute value at most sum |a_i| and the ideal has norm >= 2."""
+    return (p - 1) * sum(map(abs, coeffs)).bit_length()
+
+
+def _lambda_valuation(columns, p):
     """How many times lambda divides every Z[zeta_p] vector in `columns`.
     Z[zeta_p]/(lambda) = F_p via zeta -> 1, so lambda divides a vector
-    exactly when p divides its coefficient sum."""
-    if cap is None:
-        cap = 4 * p
+    exactly when p divides its coefficient sum.  Dividing past the norm
+    bound can only mean a broken quotient."""
+    bound = _valuation_bound(p, [c for col in columns for c in col])
     v = 0
     while all(sum(col) % p == 0 for col in columns):
+        if v == bound:
+            raise VerificationError(
+                f"lambda valuation exceeds its norm bound {bound} at p={p}"
+            )
         columns = [_lambda_quotient(col, p) for col in columns]
         v += 1
-        if v > cap:
-            raise ValuationCapExceeded(f"lambda valuation exceeded cap {cap}")
     return v
 
 
-def lambda_valuation(a: CycInt, cap=None):
-    """lambda-adic valuation; math.inf for 0.  Raises ValuationCapExceeded
-    past the cap (default 4p)."""
-    return math.inf if a.is_zero() else _lambda_valuation([a.coeffs], a.p, cap)
+def lambda_valuation(a: CycInt):
+    """lambda-adic valuation, exact; math.inf for 0."""
+    return math.inf if a.is_zero() else _lambda_valuation([a.coeffs], a.p)
 
 
-def bi_lambda_valuation(a: BiCycInt, cap=None):
+def bi_lambda_valuation(a: BiCycInt):
     """The same valuation in Z[zeta_pq], which is free over Z[zeta_p] on the
     zeta_q^j: lambda divides an element when it divides every column."""
     if a.is_zero():
         return math.inf
-    return _lambda_valuation(list(zip(*a.coeffs)), a.p, cap)
+    return _lambda_valuation(list(zip(*a.coeffs)), a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -405,51 +385,36 @@ class HenselRoot:
     root: int
     label: int
 
-    @property
-    def modulus(self):
-        return self.q ** self.precision
 
+def _lift_root(p, q, r, precision):
+    """The root of Phi_p mod q^precision that lifts the root r mod q.
 
-def _phi_eval(p, r, modulus):
-    acc = 0
-    power = 1
-    for _ in range(p):
-        acc = (acc + power) % modulus
-        power = power * r % modulus
-    return acc
-
-
-def _phi_derivative_eval(p, r, modulus):
-    acc = 0
-    power = 1
-    for i in range(1, p):
-        acc = (acc + i * power) % modulus
-        power = power * r % modulus
-    return acc
-
-
-def _newton_lift(p, q, root_mod_q, precision):
+    Newton's method on x^p - 1, whose roots other than 1 are exactly those
+    of Phi_p; the lift is unique because x^p - 1 is separable mod q != p.
+    While r^p = 1 mod q^k, the step r - (r^p - 1) / (p r^(p-1)) equals
+    r - r (r^p - 1) / p mod q^(2k), so each step doubles the precision.
+    """
     target = q ** precision
     modulus = q
-    r = root_mod_q % q
+    r %= q
     while modulus < target:
         modulus = min(modulus * modulus, target)
-        d = _phi_derivative_eval(p, r, modulus)
-        r = (r - _phi_eval(p, r, modulus) * pow(d, -1, modulus)) % modulus
-    if _phi_eval(p, r, target) != 0:
+        r = (r - r * (pow(r, p, modulus) - 1) * pow(p, -1, modulus)) % modulus
+    if pow(r, p, target) != 1 or r % q == 1:
         raise VerificationError(f"Newton lift of a root of Phi_{p} mod {q} failed")
     return r
 
 
-def hensel_roots(p, q, precision=None):
-    """All p-1 roots of Phi_p mod q^precision for a totally split q
-    (q = 1 mod p), labelled by discrete log base the smallest root."""
+def hensel_roots(p, q):
+    """All p-1 roots of Phi_p mod q^(2p+4) for a totally split q
+    (q = 1 mod p), labelled by discrete log base the smallest root;
+    `ideal_valuation` lifts them further when it needs to."""
     if not is_prime(p) or not is_prime(q) or p == q:
         raise ValueError("p and q must be distinct primes")
     if (q - 1) % p != 0:
         raise ValueError(f"q={q} is not 1 mod p={p}: no degree-1 splitting")
-    if precision is None:
-        precision = 2 * p + 4
+    # enough for the valuations of G, at most p-1, without a second lift
+    precision = 2 * p + 4
     base = pow(primitive_root(q) if q > 2 else 1, (q - 1) // p, q)
     residues = sorted(pow(base, t, q) for t in range(1, p))
     reference = residues[0]
@@ -459,7 +424,7 @@ def hensel_roots(p, q, precision=None):
             p=p,
             q=q,
             precision=precision,
-            root=_newton_lift(p, q, r, precision),
+            root=_lift_root(p, q, r, precision),
             label=labels[r],
         )
         for r in residues
@@ -468,44 +433,33 @@ def hensel_roots(p, q, precision=None):
     return roots
 
 
-def _residue_valuation(y, q, precision):
-    """q-adic valuation of a residue y mod q^precision; returns precision
-    when y = 0 (meaning: at least that much)."""
-    if y == 0:
-        return precision
-    v = 0
-    while y % q == 0:
-        y //= q
-        v += 1
-    return v
+def ideal_valuation(a: CycInt, h: HenselRoot) -> int:
+    """Exact valuation of a at the degree-1 prime ideal labelled by h.
 
-
-def ideal_valuation(a: CycInt, h: HenselRoot, max_precision=None) -> int:
-    """Valuation of a at the degree-1 prime ideal labelled by h.
-
-    Rational content q^e is stripped first and e added back, so elements
-    divisible by q as integers do not exhaust precision.  Precision doubles
-    on demand up to 16p before PrecisionExhausted is raised.
+    The ideal's completion sends zeta_p to the q-adic root that h.root
+    approximates, so the value of a at the root mod q^n, when nonzero, has
+    the valuation of a.  A zero value sends the root to twice the
+    precision; a zero value past the norm bound of a can only mean a
+    broken lift.
     """
     if a.is_zero():
         raise ValueError("valuation of 0 requested")
     if a.p != h.p:
         raise ValueError("mismatched p")
-    if max_precision is None:
-        max_precision = 16 * h.p
-    q = h.q
-    e = a.content_valuation(q)
-    reduced = a.divexact(q ** e) if e else a
+    p, q = h.p, h.q
+    bound = _valuation_bound(p, a.coeffs)
     precision, root = h.precision, h.root
     while True:
-        modulus = q ** precision
-        y = reduced.evaluate_mod(root, modulus)
-        v = _residue_valuation(y, q, precision)
-        if v < precision - 1:
-            return e + v
-        precision *= 2
-        if precision > max_precision:
-            raise PrecisionExhausted(
-                f"valuation at q={q} needs precision beyond {max_precision}"
+        y = a.evaluate_mod(root, q ** precision)
+        if y:
+            v = 0
+            while y % q == 0:
+                y //= q
+                v += 1
+            return v
+        if precision > bound:
+            raise VerificationError(
+                f"valuation at q={q} exceeds its norm bound {bound}"
             )
-        root = _newton_lift(h.p, q, root % q, precision)
+        precision *= 2
+        root = _lift_root(p, q, root, precision)

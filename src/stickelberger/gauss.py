@@ -149,10 +149,10 @@ def _times_zeta_p(b: BiCycInt) -> BiCycInt:
     return BiCycInt(b.p, b.q, rows)
 
 
-def _stickelberger_profile(G: CycInt, p, q, precision=None):
+def _stickelberger_profile(G: CycInt, p, q):
     """Valuations of G at the p-1 Hensel-labelled ideals, the unique root
     that orders them as the S coefficients, and the relabel exponent."""
-    roots = hensel_roots(p, q, precision)
+    roots = hensel_roots(p, q)
     by_residue = {h.root % q: ideal_valuation(G, h) for h in roots}
     matches = []
     for x in by_residue:
@@ -162,16 +162,16 @@ def _stickelberger_profile(G: CycInt, p, q, precision=None):
     return profile, matches
 
 
-def pi_adic_profile(g: BiCycInt, G: CycInt, p, q, valuation_cap=None) -> dict:
+def pi_adic_profile(g: BiCycInt, G: CycInt, p, q) -> dict:
     """Exact lambda-adic valuations of g+1, G+1 and G^p+1, with the branch
     verdicts: v(G+1) = p exactly when p^((q-1)/p) is not a p-th power mod
     q, at least p+1 when it is; correspondingly 2p-1 exactly or at least 2p
     for G^p + 1."""
     if (q - 1) % p != 0:
         raise ValueError("pi-adic profile applies to split q only")
-    v_g = bi_lambda_valuation(g + 1, valuation_cap)
-    v_G = lambda_valuation(G + 1, valuation_cap)
-    v_Gp = lambda_valuation(G ** p + 1, valuation_cap)
+    v_g = bi_lambda_valuation(g + 1)
+    v_G = lambda_valuation(G + 1)
+    v_Gp = lambda_valuation(G ** p + 1)
     power_cond = pow(p, (q - 1) // p, q) == 1
     branch_ok = (v_G >= p + 1 and v_Gp >= 2 * p) if power_cond else (
         v_G == p and v_Gp == 2 * p - 1
@@ -185,7 +185,7 @@ def pi_adic_profile(g: BiCycInt, G: CycInt, p, q, valuation_cap=None) -> dict:
     }
 
 
-def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> GaussSumRecord:
+def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
     """Construct g(q) exactly and run every structural check for the pair."""
     p, q = fd.p, fd.q
     v = primitive_root(p)
@@ -235,13 +235,13 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
         checks["norm_G_equals_q_to_stickelberger_weight"] = abs(norm(G)) == q ** (
             p * (p - 1) // 2
         )
-        profile, matches = _stickelberger_profile(G, p, q, hensel_precision)
+        profile, matches = _stickelberger_profile(G, p, q)
         checks["stickelberger_profile_unique_relabel"] = len(matches) == 1
         if matches:
             zeta_residue = fd.zeta_p_image[0] % q
             flags["profile_canonical_root"] = matches[0]
             flags["profile_matches_character_root"] = matches[0] == zeta_residue
-        pi_profile = pi_adic_profile(g, G, p, q, valuation_cap)
+        pi_profile = pi_adic_profile(g, G, p, q)
         checks["pi_adic_branch_exact"] = pi_profile.pop("branch_exact")
         flags.update(pi_profile)
     else:
@@ -260,12 +260,8 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
         )
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.
-        checks["g_congruent_minus_one_mod_pi"] = (
-            lambda_valuation(g_cyc + 1, valuation_cap) >= 1
-        )
-        checks["G_plus_one_above_split_floor"] = (
-            lambda_valuation(G + 1, valuation_cap) >= p + 1
-        )
+        checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g_cyc + 1) >= 1
+        checks["G_plus_one_above_split_floor"] = lambda_valuation(G + 1) >= p + 1
         if f % 2 == 0:
             checks["g_is_unit_times_q_half_f"] = _is_unit_times_power(g_cyc, q, f)
 
@@ -284,11 +280,9 @@ def gauss_sum(fd: FieldDesc, hensel_precision=None, valuation_cap=None) -> Gauss
     )
 
 
-def build_record(
-    p: int, q: int, hensel_precision=None, valuation_cap=None
-) -> GaussSumRecord:
+def build_record(p: int, q: int) -> GaussSumRecord:
     """Field construction plus full verification for a prime pair."""
-    return gauss_sum(field_make(p, q), hensel_precision, valuation_cap)
+    return gauss_sum(field_make(p, q))
 
 
 def _is_unit_times_power(g_cyc: CycInt, q, f):

@@ -8,7 +8,6 @@ non-principality.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .arith import (
     MILLER_RABIN_WITNESS_COUNT,
@@ -175,9 +174,22 @@ class ProbeReport:
 
 
 def _graded_lex_vectors(length, bound):
-    vecs = list(product(range(-bound, bound + 1), repeat=length))
-    vecs.sort(key=lambda t: (sum(abs(c) for c in t), t))
-    return vecs
+    """Integer vectors with entries in [-bound, bound], lazily, sorted by L1
+    norm and lexicographically within each norm."""
+    for total in range(length * bound + 1):
+        yield from _l1_shell(length, total, bound)
+
+
+def _l1_shell(length, total, bound):
+    """The vectors of L1 norm `total`, lexicographically: a first entry c
+    fits when the other length-1 entries can make up total - |c|."""
+    if length == 0:
+        yield ()
+        return
+    for c in range(-bound, bound + 1):
+        if abs(c) <= total <= abs(c) + (length - 1) * bound:
+            for rest in _l1_shell(length - 1, total - abs(c), bound):
+                yield (c,) + rest
 
 
 def principal_norm_probe(

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickelberger.arith import (
+    _is_irreducible,
+    _poly_powmod,
     canon_power,
     factorize,
     ff_elements,
@@ -167,6 +169,37 @@ class TestSignedPackedMul:
         ]
 
 
+# Every pair with p < 80, q < 60 and at most 2^16 field elements.
+FIELD_PAIRS = [
+    (p, q)
+    for p in ODD_PRIMES_TO_100
+    if p < 80
+    for q in range(2, 60)
+    if is_prime(q) and q != p and q ** multiplicative_order(q, p) <= 2**16
+]
+
+
+def reference_modulus(q, f):
+    """The first irreducible x^f + c_(f-1) x^(f-1) + ... + c_0 with c_0 != 0,
+    counting n = c_0 + c_1 q + ... in base q."""
+    for n in range(q**f):
+        digits = [n // q**i % q for i in range(f)]
+        if digits[0] and _is_irreducible(tuple(digits) + (1,), q, f):
+            return tuple(digits) + (1,)
+
+
+def reference_generator(modulus, q, f):
+    """The first element of order q^f - 1 in the same base-q count."""
+    order = q**f - 1
+    for n in range(1, q**f):
+        x = tuple(n // q**i % q for i in range(f))
+        if all(
+            _poly_powmod(x, order // ell, modulus, q) != (1,) + (0,) * (f - 1)
+            for ell in factorize(order)
+        ):
+            return x
+
+
 class TestFieldMake:
     def test_inertial_degrees(self):
         assert field_make(5, 11).f == 1
@@ -196,6 +229,18 @@ class TestFieldMake:
             fd = field_make(p, q)
             assert pow(q, fd.f, p) == 1
             assert all(pow(q, k, p) != 1 for k in range(1, fd.f))
+
+    @pytest.mark.parametrize("p, q", FIELD_PAIRS)
+    def test_search_order_is_frozen(self, p, q):
+        fd = field_make(p, q)
+        f = multiplicative_order(q, p)
+        if f == 1:
+            modulus, generator = (0, 1), (primitive_root(q),)
+        else:
+            modulus = reference_modulus(q, f)
+            generator = reference_generator(modulus, q, f)
+        zeta = _poly_powmod(generator, (q**f - 1) // p, modulus, q)
+        assert (fd.modulus, fd.generator, fd.zeta_p_image) == (modulus, generator, zeta)
 
 
 class TestResidueChar:

@@ -70,17 +70,12 @@ class TestExitCodes:
         assert run_cli(["scan-irregular", "--pmax", "-3"])[0] == 2
         assert run_cli(["principality", "probe", "-p", "3", "--bound", "0"])[0] == 2
 
-    def test_starved_valuation_cap_exits_2(self):
-        argv = ["gauss", "verify", "-p", "5", "-q", "11", "--valuation-cap", "2"]
-        assert run_cli(argv)[0] == 2
-
-    def test_generous_overrides_leave_output_unchanged(self):
-        _, default_text = run_cli(["gauss", "verify", "-p", "5", "-q", "11"])
-        _, overridden = run_cli(
-            ["gauss", "verify", "-p", "5", "-q", "11",
-             "--hensel-precision", "20", "--valuation-cap", "40"]
-        )
-        assert default_text == overridden
+    @pytest.mark.parametrize("option", ["--hensel-precision", "--valuation-cap"])
+    def test_gauss_verify_takes_only_the_pair(self, option, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gauss", "verify", "-p", "5", "-q", "11", option, "40"])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -90,8 +85,8 @@ class TestExitCodes:
     def test_math_failure_exits_1(self, monkeypatch):
         real = gauss.build_record
 
-        def sabotage(p, q, precision=None, valuation_cap=None):
-            record = real(p, q, precision, valuation_cap)
+        def sabotage(p, q):
+            record = real(p, q)
             record.checks["g_times_conj_equals_q_to_f"] = False
             return record
 
@@ -192,6 +187,20 @@ def test_checks_survive_optimized_mode():
     done = _run_optimized(["-c", script])
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_valuation_bound_survives_optimized_mode():
+    # a lambda quotient that returns its input would otherwise never stop
+    script = (
+        "import sys, stickelberger.cyclotomic as cy, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "cy._lambda_quotient = lambda col, p: col\n"
+        "sys.exit(c.main(['gauss', 'verify', '-p', '5', '-q', '3']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: verification failed: lambda valuation")
     assert len(done.stderr.splitlines()) == 1
 
 

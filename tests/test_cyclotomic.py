@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from functools import lru_cache
@@ -6,13 +5,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickelberger.arith import is_prime
+from stickelberger import cyclotomic
+from stickelberger.arith import VerificationError, is_prime
 from stickelberger.groupring import GroupRingElt
 from stickelberger.cyclotomic import (
     BiCycInt,
     CycInt,
-    PrecisionExhausted,
-    ValuationCapExceeded,
     bi_lambda_valuation,
     galois_apply,
     hensel_roots,
@@ -21,7 +19,7 @@ from stickelberger.cyclotomic import (
     lambda_valuation,
     norm,
     _lambda_quotient,
-    _newton_lift,
+    _lift_root,
     _reduce_exponents,
 )
 
@@ -208,15 +206,23 @@ class TestLambdaValuation:
                 assert lambda_valuation(a * b) == va + vb
 
     def test_cap_signal(self):
+        # far above any fixed multiple of p: the valuation has no cap
         lam = lambda_element(5)
-        with pytest.raises(ValuationCapExceeded):
-            lambda_valuation(lam ** 30, cap=10)
+        assert lambda_valuation(lam ** 30) == 30
+        assert lambda_valuation(CycInt.from_int(5, 5**6)) == 24
 
     def test_bi_cap_signal(self):
         lam = BiCycInt.from_cyc(lambda_element(5), 3)
-        with pytest.raises(ValuationCapExceeded):
-            bi_lambda_valuation(lam ** 30, cap=10)
+        assert bi_lambda_valuation(lam ** 30) == 30
         assert bi_lambda_valuation(BiCycInt.from_int(5, 3, 0)) == math.inf
+
+    def test_broken_quotient_hits_the_norm_bound(self, monkeypatch):
+        # a quotient that returns its input keeps p | coefficient sum forever
+        monkeypatch.setattr(cyclotomic, "_lambda_quotient", lambda col, p: col)
+        with pytest.raises(VerificationError, match="norm bound"):
+            lambda_valuation(CycInt.from_int(5, 5))
+        with pytest.raises(VerificationError, match="norm bound"):
+            bi_lambda_valuation(BiCycInt.from_cyc(lambda_element(5), 3))
 
 
 @st.composite
@@ -259,8 +265,7 @@ class TestLambdaQuotient:
             return
         k %= 2 * b.p
         lifted = b * lambda_element(b.p) ** k
-        cap = 10**6
-        assert lambda_valuation(lifted, cap) == k + lambda_valuation(b, cap)
+        assert lambda_valuation(lifted) == k + lambda_valuation(b)
 
     @settings(max_examples=150, deadline=None)
     @given(big_cyc(primes=SMALL_PRIMES, bits=200), st.sampled_from([2, 3, 5, 7, 11]))
@@ -282,8 +287,8 @@ class TestLambdaQuotient:
 
 class TestHensel:
     def test_frozen_example_3_7(self):
-        roots = hensel_roots(3, 7, 2)
-        assert sorted(h.root for h in roots) == [18, 30]
+        roots = hensel_roots(3, 7)
+        assert sorted(h.root % 49 for h in roots) == [18, 30]
 
     def test_count_and_defining_property(self):
         for (p, q) in [(3, 7), (5, 11), (7, 29), (11, 23)]:
@@ -291,7 +296,7 @@ class TestHensel:
             assert len(roots) == p - 1
             assert sorted(h.label for h in roots) == list(range(1, p))
             for h in roots:
-                m = h.modulus
+                m = q ** h.precision
                 phi = sum(pow(h.root, i, m) for i in range(p)) % m
                 assert phi == 0
 
@@ -310,8 +315,33 @@ class TestHensel:
         brute = sorted(
             r for r in range(49) if (r * r + r + 1) % 49 == 0
         )
-        lifted = sorted(_newton_lift(3, 7, r, 2) for r in (2, 4))
+        lifted = sorted(_lift_root(3, 7, r, 2) for r in (2, 4))
         assert brute == lifted == [18, 30]
+
+    @pytest.mark.parametrize("p, q", [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)])
+    def test_lift_matches_brute_force_mod_q_squared(self, p, q):
+        m = q * q
+        brute = [r for r in range(m) if sum(pow(r, i, m) for i in range(p)) % m == 0]
+        mod_q = [r for r in range(2, q) if pow(r, p, q) == 1]
+        assert sorted(_lift_root(p, q, r, 2) for r in mod_q) == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PRIMES_TO_60), st.integers(1, 40), st.data())
+    def test_lift_is_a_root_of_phi(self, p, n, data):
+        q = data.draw(st.sampled_from([q for q in range(2, 800) if is_prime(q) and q % p == 1]))
+        residues = [r for r in range(2, q) if pow(r, p, q) == 1]
+        r0 = data.draw(st.sampled_from(residues))
+        m = q ** n
+        r = _lift_root(p, q, r0, n)
+        assert 0 <= r < m and r % q == r0
+        assert pow(r, p, m) == 1 and r % q != 1
+        assert sum(pow(r, i, m) for i in range(p)) % m == 0
+
+    def test_lift_of_a_non_root_fails(self):
+        with pytest.raises(VerificationError):
+            _lift_root(3, 7, 3, 5)
+        with pytest.raises(VerificationError):
+            _lift_root(3, 7, 1, 5)
 
 
 class TestIdealValuation:
@@ -341,13 +371,32 @@ class TestIdealValuation:
                     vq += 1
                 assert sum(ideal_valuation(a, h) for h in roots) == vq
 
-    def test_precision_retry_and_exhaustion(self):
-        h = hensel_roots(3, 7, 2)[0]
-        # lambda-free element with huge valuation at one ideal
-        lifted_root = _newton_lift(3, 7, h.root % 7, 40)
-        a = (CycInt.zeta(3) - lifted_root % 7**39) * 1  # val >= 39 at this ideal
-        with pytest.raises(PrecisionExhausted):
-            ideal_valuation(a, h, max_precision=16)
+    def test_precision_retry_and_exhaustion(self, monkeypatch):
+        h = hensel_roots(3, 7)[0]
+        # lambda-free element with valuation >= 39 at one ideal, far above
+        # the precision of h, so the root is lifted again
+        lifted_root = _lift_root(3, 7, h.root, 80)
+        a = CycInt.zeta(3) - lifted_root % 7**39
+        expected = 39
+        while (lifted_root - lifted_root % 7**39) % 7 ** (expected + 1) == 0:
+            expected += 1
+        assert h.precision < 39 <= expected < 80
+        assert ideal_valuation(a, h) == expected
+        # a value that stays 0 at every precision contradicts the norm bound
+        monkeypatch.setattr(CycInt, "evaluate_mod", lambda self, x, m: 0)
+        with pytest.raises(VerificationError, match="norm bound"):
+            ideal_valuation(a, h)
+
+    @pytest.mark.parametrize("k", [40, 60, 200])
+    def test_high_powers_of_a_prime_element(self, k):
+        # zeta_3 - r generates the prime (7, zeta_3 - r) for r = 2, 4
+        for h in hensel_roots(3, 7):
+            r = h.root % 7
+            a = (CycInt.zeta(3) - r) ** k
+            assert ideal_valuation(a, h) == k
+            other = next(g for g in hensel_roots(3, 7) if g.label != h.label)
+            assert ideal_valuation(a, other) == 0
+            assert ideal_valuation(a * 7**k, h) == 2 * k
 
     def test_zero_rejected(self):
         h = hensel_roots(3, 7)[0]
@@ -541,19 +590,6 @@ class TestComplexEmbeddingOracle:
 
 
 class TestSerialization:
-    def test_cyc_round_trip(self):
-        a = CycInt(5, (10**80, -(3**100), 0, 42))
-        blob = json.dumps(a.to_json_obj())
-        assert CycInt.from_json_obj(json.loads(blob)) == a
-
-    def test_bicyc_round_trip(self):
-        rng = random.Random(47)
-        a = BiCycInt(
-            3, 7, [[rng.randint(-(10**30), 10**30) for _ in range(6)] for _ in range(2)]
-        )
-        blob = json.dumps(a.to_json_obj())
-        assert BiCycInt.from_json_obj(json.loads(blob)) == a
-
     def test_strings_are_decimal(self):
         obj = CycInt(3, (12, -7)).to_json_obj()
         assert obj["coeffs"] == ["12", "-7"]

@@ -287,13 +287,6 @@ class TestDeterminismAndSerialization:
         record = gauss_sum(fd)
         assert record.ok and record.p == 3 and record.q == 7
 
-    def test_json_round_trips_g(self):
-        record = build_record(3, 13)
-        g2 = BiCycInt.from_json_obj(
-            json.loads(json.dumps(record.g.to_json_obj()))
-        )
-        assert g2 == record.g
-
 
 def per_element_grid(fd):
     """Reference for _character_grid: the character exponent and the trace

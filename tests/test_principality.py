@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from stickelberger.arith import is_prime, multiplicative_order
 from stickelberger.cyclotomic import CycInt, lambda_element, norm
 from stickelberger.principality import (
+    _graded_lex_vectors,
     half_degree_corollary,
     principal_norm_probe,
     principality_test,
@@ -121,3 +128,25 @@ class TestNormProbe:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             principal_norm_probe(4)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_graded_lex_order_matches_sorted_box(length, bound):
+    box = product(range(-bound, bound + 1), repeat=length)
+    expected = sorted(box, key=lambda t: (sum(map(abs, t)), t))
+    assert list(_graded_lex_vectors(length, bound)) == expected
+
+
+def test_probe_p13_stops_at_its_bound():
+    # the whole box would be 5^12 = 244,140,625 vectors
+    done = subprocess.run(
+        [sys.executable, "-m", "stickelberger.cli", "principality", "probe",
+         "-p", "13", "--bound", "200"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"candidates_tested": 200' in done.stdout
