@@ -3,8 +3,9 @@
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (a VerificationError prints one `error:` line; a valuation that passes
 the norm bound of its element is one), 2 = bad input or
-configuration, among them a --pmax above MAX_SCAN_PMAX and a `gauss
-verify` pair beyond MAX_GAUSS_P, MAX_RING_ENTRIES or MAX_FIELD_ORDER.
+configuration, among them a --pmax above MAX_SCAN_PMAX, a `gauss
+verify` pair beyond MAX_GAUSS_P, MAX_RING_ENTRIES or MAX_FIELD_ORDER,
+and a `principality probe` beyond MAX_PROBE_P or MAX_PROBE_BOUND.
 Reports carry no timestamps and all iteration orders are fixed, so
 identical invocations produce identical bytes regardless of the --jobs
 setting.
@@ -51,6 +52,14 @@ MAX_SCAN_PMAX = 10_000
 MAX_GAUSS_P = 200
 MAX_RING_ENTRIES = 10_000
 MAX_FIELD_ORDER = 2**20
+
+# Largest -p and --bound that `principality probe` accepts.  Nearly all of a
+# probe is Miller-Rabin on norms of about p^2 bits, so a candidate costs
+# about 0.05 ms at p = 7, 1.9 ms at p = 31, 17 ms at p = 53 and 0.46 s at
+# p = 101.  -p 11 --bound 100000 took 6.4 s; at both bounds, -p 31
+# --bound 100000 took 161 s (2-vCPU VM, Python 3.11).
+MAX_PROBE_P = 31
+MAX_PROBE_BOUND = 100_000
 
 
 def _emit(text, out):
@@ -203,6 +212,13 @@ def cmd_principality_corollary(args, out):
 
 
 def cmd_principality_probe(args, out):
+    for flag, value, limit in (
+        ("-p", args.p, MAX_PROBE_P),
+        ("--bound", args.bound, MAX_PROBE_BOUND),
+    ):
+        if value > limit:
+            print(f"error: {flag} must be at most {limit}", file=sys.stderr)
+            return 2
     report = principal_norm_probe(args.p, args.bound, args.coeff_bound)
     payload = {"version": __version__}
     payload.update(report.to_json_obj())

@@ -1,7 +1,9 @@
 """Exact arithmetic in Z[zeta_p] and Z[zeta_pq], plus the two valuations
 the verification suites run on: the lambda-adic one at the prime over p,
 and split-prime valuations over q realized through Hensel-lifted roots of
-the p-th cyclotomic polynomial.
+the p-th cyclotomic polynomial.  Norms to Q use the same lifted roots: the
+norm is the product of the values at the p-1 roots of Phi_p modulo a
+power of the smallest prime ell = 1 (mod p).
 
 Elements are kept in the reduced power basis: zeta_p^0..zeta_p^(p-2),
 using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  All coefficients are
@@ -181,17 +183,6 @@ def galois_apply(t, a: CycInt) -> CycInt:
     for i, c in enumerate(a.coeffs):
         vec[(t * i) % p] += c
     return CycInt(p, _reduce_exponents(p, vec))
-
-
-def norm(a: CycInt) -> int:
-    """Product of all p-1 Galois conjugates, a rational integer."""
-    if a.is_zero():
-        raise ValueError("norm of 0 is degenerate")
-    p = a.p
-    acc = a
-    for t in range(2, p):
-        acc = acc * galois_apply(t, a)
-    return acc.rational_value()
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +454,73 @@ def ideal_valuation(a: CycInt, h: HenselRoot) -> int:
             )
         precision *= 2
         root = _lift_root(p, q, root, precision)
+
+
+# ---------------------------------------------------------------------------
+# Norms by evaluation at the roots of Phi_p mod ell^k
+
+
+@lru_cache(maxsize=16)
+def _root_powers(p, bits):
+    """A power ell^k > 2^bits of the smallest prime ell = 1 (mod p), and the
+    powers r^0..r^(p-1) mod ell^k of a root r of Phi_p.  Since log2(ell) >=
+    bit_length(ell) - 1, the k below suffices.  The probe's norms need only
+    a few distinct sizes, so the last few tables are kept."""
+    ell = 2 * p + 1
+    while not is_prime(ell):
+        ell += 2 * p
+    k = bits // (ell.bit_length() - 1) + 1
+    modulus = ell ** k
+    r = _lift_root(p, ell, pow(primitive_root(ell), (ell - 1) // p, ell), k)
+    powers = [1]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * r % modulus)
+    return modulus, tuple(powers)
+
+
+def translate_norms(b: CycInt, shifts) -> list:
+    """[N(b + s) for s in shifts], for integer shifts s.
+
+    N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
+    at the roots r^t of Phi_p, so one evaluation of b at those roots serves
+    every shift: N(b + s) = prod_t (b(r^t) + s).  The roots live mod a power
+    of the smallest prime ell = 1 (mod p), which exceeds twice the bound
+    (sum |b_i| + max |s|)^(p-1) on |N|, so the symmetric residue is N.
+    A rational b needs no roots: N(b_0 + s) = (b_0 + s)^(p-1).
+
+    Each N is checked against N(a) = a(1)^(p-1) (mod p), from
+    a = a(1) (mod lambda).  A modulus too small moves N by a multiple of
+    it, which is prime to p, and a table of non-roots gives an unrelated
+    residue: either fails the check unless the error is divisible by p.
+    """
+    p = b.p
+    if b.is_rational():
+        values = [b.coeffs[0] + s for s in shifts]
+        if 0 in values:
+            raise ValueError("norm of 0 is degenerate")
+        return [v ** (p - 1) for v in values]
+    top = max(map(abs, shifts))
+    modulus, powers = _root_powers(p, _valuation_bound(p, b.coeffs + (top,)) + 1)
+    terms = [(i, c) for i, c in enumerate(b.coeffs) if c]
+    values = [
+        sum(c * powers[t * i % p] for i, c in terms) % modulus for t in range(1, p)
+    ]
+    at_one = sum(b.coeffs)
+    norms = []
+    for s in shifts:
+        n = 1
+        for v in values:
+            n = n * (v + s) % modulus
+        if 2 * n > modulus:
+            n -= modulus
+        if (n - pow(at_one + s, p - 1, p)) % p:
+            raise VerificationError(
+                f"norm {n} of an element of Z[zeta_{p}] is not a(1)^{p - 1} mod {p}"
+            )
+        norms.append(n)
+    return norms
+
+
+def norm(a: CycInt) -> int:
+    """The norm of a to Q, a rational integer; ValueError for 0."""
+    return translate_norms(a, (0,))[0]

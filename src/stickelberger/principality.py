@@ -18,7 +18,7 @@ from .arith import (
     multiplicative_order,
     primitive_root,
 )
-from .cyclotomic import CycInt, lambda_element, norm
+from .cyclotomic import CycInt, lambda_element, translate_norms
 from .groupring import polynomial_S2
 
 
@@ -197,7 +197,8 @@ def principal_norm_probe(
 ) -> ProbeReport:
     """Sweep q1 = a + lambda^(p+1) * x over small-coefficient x; whenever
     |norm(q1)| is a prime q, the power test p^((q-1)/p) = 1 mod q must
-    pass.  Any failing witness lands in `counterexamples`.
+    pass.  Any failing witness lands in `counterexamples`.  The norms of
+    the p-1 values of a share one evaluation of lambda^(p+1) * x.
 
     An exhausted sweep without prime-norm hits is reported as
     status="no candidates", not as a failure.
@@ -209,16 +210,15 @@ def principal_norm_probe(
         p=p, search_bound=search_bound, coeff_bound=coeff_bound, candidates_tested=0
     )
     for x_vec in _graded_lex_vectors(p - 1, coeff_bound):
-        if report.candidates_tested >= search_bound:
+        left = search_bound - report.candidates_tested
+        if left <= 0:
             break
-        x = CycInt(p, x_vec)
-        base = shift * x
-        for a in range(1, p):
-            if report.candidates_tested >= search_bound:
-                break
+        # the last x may take only some of the a in [1, p-1]
+        shifts = range(1, min(p, left + 1))
+        base = shift * CycInt(p, x_vec)
+        for a, n in zip(shifts, translate_norms(base, shifts)):
             report.candidates_tested += 1
-            q1 = base + a
-            n = abs(norm(q1))
+            n = abs(n)
             if n < 2 or not is_prime(n):
                 continue
             if n % p != 1:

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from stickelberger import gauss
-from stickelberger.cli import MAX_SCAN_PMAX, _gauss_size_error, main
+from stickelberger.cli import (
+    MAX_PROBE_BOUND,
+    MAX_PROBE_P,
+    MAX_SCAN_PMAX,
+    _gauss_size_error,
+    main,
+)
+from stickelberger.principality import principal_norm_probe
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -141,6 +148,48 @@ class TestExitCodes:
     def test_gauss_pairs_at_the_bounds_are_accepted(self, pair):
         assert _gauss_size_error(*pair) is None
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["-p", str(MAX_PROBE_P + 2)], f"-p must be at most {MAX_PROBE_P}"),
+            (["-p", "101", "--bound", "500"], "-p must be at most"),
+            (
+                ["-p", "7", "--bound", str(MAX_PROBE_BOUND + 1)],
+                "--bound must be at most",
+            ),
+        ],
+    )
+    def test_oversized_probe_exits_2_without_probing(
+        self, monkeypatch, capsys, argv, reason
+    ):
+        def refuse(*args):
+            raise RuntimeError("probe started")
+
+        monkeypatch.setattr("stickelberger.cli.principal_norm_probe", refuse)
+        code, text = run_cli(["principality", "probe", *argv])
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and reason in err[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-p", "7", "--bound", "30000"],
+            ["-p", "3"],
+            ["-p", "5", "--bound", "10000"],
+            ["-p", str(MAX_PROBE_P), "--bound", str(MAX_PROBE_BOUND)],
+        ],
+    )
+    def test_probes_within_the_bounds_are_accepted(self, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(
+            "stickelberger.cli.principal_norm_probe",
+            lambda *args: calls.append(args) or principal_norm_probe(3, 1),
+        )
+        assert run_cli(["principality", "probe", *argv])[0] == 0
+        assert len(calls) == 1
+
 
 # sha256 of `gauss verify` stdout beyond the (5, 11) golden, recorded before
 # the character walk and the packed Z[zeta_pq] product replaced the
@@ -219,6 +268,28 @@ def test_walk_check_survives_optimized_mode():
     done = _run_optimized(["-c", script])
     assert done.returncode == 1
     assert done.stderr.startswith("error: verification failed: generator")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "sabotage",
+    [
+        # a modulus ell^1 = 29, far below the norms of the probe
+        "real = cy._root_powers\ncy._root_powers = lambda p, bits: real(p, 1)\n",
+        # a root of Phi_7 mod 29 only, never lifted to 29^k
+        "cy._lift_root = lambda p, q, r, precision: r\n",
+    ],
+)
+def test_norm_check_survives_optimized_mode(sabotage):
+    script = (
+        "import sys, stickelberger.cyclotomic as cy, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        + sabotage
+        + "sys.exit(c.main(['principality', 'probe', '-p', '7', '--bound', '100']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: verification failed: norm")
     assert len(done.stderr.splitlines()) == 1
 
 

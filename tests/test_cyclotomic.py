@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stickelberger import cyclotomic
 from stickelberger.arith import VerificationError, is_prime
 from stickelberger.groupring import GroupRingElt
+from reference import conjugate_product_norm
 from stickelberger.cyclotomic import (
     BiCycInt,
     CycInt,
@@ -18,6 +19,7 @@ from stickelberger.cyclotomic import (
     lambda_element,
     lambda_valuation,
     norm,
+    translate_norms,
     _lambda_quotient,
     _lift_root,
     _reduce_exponents,
@@ -283,6 +285,106 @@ class TestLambdaQuotient:
             b = BiCycInt(p, q, rows)
             k = rng.randrange(2 * p)
             assert bi_lambda_valuation(b * lam ** k) == k + bi_lambda_valuation(b)
+
+
+@st.composite
+def norm_operand(draw):
+    """A nonzero CycInt with p < 60 and entries of up to 300 bits: dense,
+    sparse, rational, or a unit +-zeta^k."""
+    p = draw(st.sampled_from(PRIMES_TO_60))
+    kind = draw(st.sampled_from(["dense", "sparse", "rational", "unit"]))
+    if kind == "unit":
+        sign = draw(st.sampled_from([1, -1]))
+        return sign * CycInt.zeta(p, draw(st.integers(0, p - 1)))
+    top = 1 << draw(st.sampled_from([1, 8, 64, 300]))
+    entry = st.one_of(st.integers(-top, top), st.sampled_from([-top, top])).filter(bool)
+    if kind == "rational":
+        return CycInt.from_int(p, draw(entry))
+    if kind == "dense":
+        return CycInt(p, draw(st.lists(entry, min_size=p - 1, max_size=p - 1)))
+    coeffs = [0] * (p - 1)
+    for i in draw(st.sets(st.integers(0, p - 2), min_size=1, max_size=3)):
+        coeffs[i] = draw(entry)
+    return CycInt(p, coeffs)
+
+
+@pytest.fixture
+def fresh_root_tables():
+    """Clears the cached root tables around a test that sabotages them."""
+    cyclotomic._root_powers.cache_clear()
+    yield
+    cyclotomic._root_powers.cache_clear()
+
+
+class TestNormByEvaluation:
+    """The norm as a product of values at the roots of Phi_p mod ell^k,
+    against the product of the p-1 Galois conjugates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(norm_operand())
+    def test_matches_conjugate_product(self, a):
+        assert norm(a) == conjugate_product_norm(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(norm_operand(), st.lists(st.integers(-70, 70), min_size=1, max_size=8))
+    def test_translates_match_conjugate_products(self, b, shifts):
+        if b.is_rational():
+            shifts = [s for s in shifts if b.coeffs[0] + s]
+            if not shifts:
+                return
+        expected = [conjugate_product_norm(b + s) for s in shifts]
+        assert translate_norms(b, shifts) == expected
+
+    def test_every_small_element_at_p3(self):
+        # ell = 7, the smallest modulus the norm ever uses
+        assert cyclotomic._root_powers(3, 1)[0] == 7
+        for c0 in range(-9, 10):
+            for c1 in range(-9, 10):
+                a = CycInt(3, (c0, c1))
+                if not a.is_zero():
+                    expected = c0 * c0 - c0 * c1 + c1 * c1
+                    assert norm(a) == conjugate_product_norm(a) == expected
+
+    @pytest.mark.parametrize("p", PRIMES_TO_60)
+    def test_smallest_prime_and_root_powers(self, p):
+        ell, powers = cyclotomic._root_powers(p, 1)
+        assert is_prime(ell) and ell % p == 1
+        assert not any(is_prime(m) for m in range(p + 1, ell, p))
+        r = powers[1]
+        assert r != 1 and pow(r, p, ell) == 1
+        assert powers == tuple(pow(r, j, ell) for j in range(p))
+        modulus, lifted = cyclotomic._root_powers(p, 200)
+        assert modulus > 2**200 and modulus % ell == 0
+        assert lifted[1] % ell == r and pow(lifted[1], p, modulus) == 1
+
+    def test_units(self):
+        for p in PRIMES_TO_60:
+            for k in range(p):
+                assert norm(CycInt.zeta(p, k)) == 1
+                assert norm(-CycInt.zeta(p, k)) == 1
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            translate_norms(CycInt.from_int(7, 3), (1, -3))
+        with pytest.raises(ValueError):
+            translate_norms(CycInt.from_int(7, 0), (0,))
+
+    def test_small_modulus_fails_the_congruence_check(self, monkeypatch):
+        # the norm 291943 does not fit below ell = 29
+        real = cyclotomic._root_powers
+        monkeypatch.setattr(cyclotomic, "_root_powers", lambda p, bits: real(p, 1))
+        a = CycInt(7, (3, 1, 4, 1, 5, 9))
+        with pytest.raises(VerificationError, match="not a\\(1\\)"):
+            norm(a)
+
+    def test_unlifted_root_fails_the_congruence_check(
+        self, monkeypatch, fresh_root_tables
+    ):
+        # a root mod ell only, not mod ell^k
+        monkeypatch.setattr(cyclotomic, "_lift_root", lambda p, q, r, precision: r)
+        a = CycInt(7, (3, 1, 4, 1, 5, 9))
+        with pytest.raises(VerificationError, match="not a\\(1\\)"):
+            norm(a)
 
 
 class TestHensel:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from stickelberger import principality
 from stickelberger.arith import is_prime, multiplicative_order
-from stickelberger.cyclotomic import CycInt, lambda_element, norm
+from reference import conjugate_product_norm, probe_sweep, probe_witnesses
+from stickelberger.cyclotomic import CycInt, lambda_element, norm, translate_norms
 from stickelberger.principality import (
     _graded_lex_vectors,
     half_degree_corollary,
@@ -128,6 +130,46 @@ class TestNormProbe:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             principal_norm_probe(4)
+
+
+class TestProbeNormsAgainstConjugateProducts:
+    """The probe's shared evaluation of lambda^(p+1) * x against the
+    conjugate-product norm of every candidate a + lambda^(p+1) * x."""
+
+    @pytest.mark.parametrize(
+        "p, search_bound", [(3, 50), (5, 3000), (7, 2000), (11, 2000)]
+    )
+    def test_translate_norms_on_every_x_of_the_sweep(self, p, search_bound):
+        shift = lambda_element(p) ** (p + 1)
+        candidates = list(probe_sweep(p, search_bound))
+        for start in range(0, len(candidates), p - 1):
+            a, x_vec, _ = candidates[start]
+            assert a == 1
+            base = shift * CycInt(p, x_vec)
+            expected = [conjugate_product_norm(base + s) for s in range(1, p)]
+            assert translate_norms(base, range(1, p)) == expected
+
+    @pytest.mark.parametrize("p, search_bound", [(5, 3000), (7, 2000)])
+    def test_witnesses_match_reference_sweep(self, p, search_bound):
+        report = principal_norm_probe(p, search_bound)
+        found = [(w.a, w.x_coeffs, w.norm_q, w.residue) for w in report.witnesses]
+        assert found == probe_witnesses(p, search_bound)
+        assert report.witnesses
+
+    def test_sweep_cut_inside_an_x_counts_exactly_the_bound(self, monkeypatch):
+        shift_counts = []
+        real = principality.translate_norms
+
+        def counting(base, shifts):
+            shift_counts.append(len(shifts))
+            return real(base, shifts)
+
+        monkeypatch.setattr(principality, "translate_norms", counting)
+        report = principal_norm_probe(7, 2003)
+        assert report.candidates_tested == 2003
+        assert shift_counts == [6] * 333 + [5]
+        found = [(w.a, w.x_coeffs, w.norm_q, w.residue) for w in report.witnesses]
+        assert found == probe_witnesses(7, 2003)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
