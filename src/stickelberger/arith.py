@@ -350,11 +350,6 @@ def ff_pow(a, e, fd: FieldDesc):
     return _poly_powmod(a, e, fd.modulus, fd.q)
 
 
-def ff_elements(fd: FieldDesc):
-    """All nonzero field elements, in the order of the generator search."""
-    return islice(_vectors(fd.q, fd.f), 1, None)
-
-
 def ff_trace(x, fd: FieldDesc) -> int:
     """Trace down to the prime field: x + x^q + ... + x^(q^(f-1)), as a
     residue mod q."""
@@ -394,14 +389,3 @@ def residue_char_exponent(x, fd: FieldDesc) -> int:
         raise VerificationError("p-th power residue landed outside <zeta_p_image>")
     return table[y]
 
-
-def smallest_prime_with_order(p: int, f: int, limit: int = 100_000) -> int:
-    """Smallest prime q with multiplicative order f mod p (q =/= p)."""
-    if (p - 1) % f != 0:
-        raise ValueError(f"{f} does not divide p-1={p - 1}")
-    q = 2
-    while q < limit:
-        if q != p and is_prime(q) and multiplicative_order(q, p) == f:
-            return q
-        q += 1
-    raise ValueError(f"no prime of order {f} mod {p} below {limit}")

@@ -37,9 +37,11 @@ class CoeffVector:
     """Immutable integer coefficient vector, the base of the three rings
     CycInt, BiCycInt and GroupRingElt, which all carry their prime as `p`.
 
-    A subclass supplies its product.  Every element-wise operation goes
-    through `_map`; a subclass with another coefficient shape (BiCycInt's
-    rows) overrides it and `is_zero`.  Int operands are embedded by
+    The product is one packed bigint product for every ring; a subclass
+    supplies only its fold, `_fold`, which reduces the product's list of
+    coefficients into its basis.  Every element-wise operation goes through
+    `_map`; a subclass with another coefficient shape (BiCycInt's rows)
+    overrides it, `is_zero` and `_flat`.  Int operands are embedded by
     `_coerce`.
     """
 
@@ -101,6 +103,18 @@ class CoeffVector:
     def __neg__(self):
         return self._map(neg)
 
+    def _flat(self):
+        """The coefficients as one list for `signed_packed_mul`."""
+        return self.coeffs
+
+    def __mul__(self, other):
+        """The ring product: one Kronecker-packed product of the flat
+        coefficient lists, folded back into the basis by the ring."""
+        other = self._coerce(other)
+        return self._fold(signed_packed_mul(self._flat(), other._flat()))
+
+    __rmul__ = __mul__
+
     def __pow__(self, e):
         if e < 0:
             raise ValueError("only nonnegative exponents")
@@ -135,18 +149,11 @@ class CycInt(CoeffVector):
         vec[k % p] = 1
         return cls(p, _reduce_exponents(p, vec))
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        p = self.p
-        conv = [0] * (2 * p - 3)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return CycInt(p, _reduce_exponents(p, conv))
+    # bound here, not inherited: perfbench/tracer.py rebinds products in vars(cls)
+    __mul__ = __rmul__ = CoeffVector.__mul__
 
-    __rmul__ = __mul__
+    def _fold(self, conv):
+        return CycInt(self.p, _reduce_exponents(self.p, conv))
 
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
@@ -155,10 +162,6 @@ class CycInt(CoeffVector):
         if not self.is_rational():
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coeffs[0]
-
-    def galois(self, t):
-        """Apply zeta -> zeta^t, gcd(t, p) = 1."""
-        return galois_apply(t, self)
 
     def conj(self):
         return galois_apply(self.p - 1, self)
@@ -219,14 +222,12 @@ class BiCycInt(CoeffVector):
 
     @classmethod
     def from_exponent_grid(cls, p, q, grid):
-        """Reduce a full p x q exponent grid (zeta_p^i zeta_q^j for i < p,
-        j < q) into the basis."""
-        top = grid[p - 1]
-        rows = [
-            [grid[i][j] - top[j] - grid[i][q - 1] + top[q - 1] for j in range(q - 1)]
-            for i in range(p - 1)
-        ]
-        return cls(p, q, rows)
+        """Reduce a grid of coefficients of zeta_p^i zeta_q^j, i < 2p-1 and
+        j < 2q-1, into the basis: the zeta_q direction row by row, then the
+        zeta_p direction column by column."""
+        half = [_reduce_exponents(q, row) for row in grid]
+        cols = [_reduce_exponents(p, col) for col in zip(*half)]
+        return cls(p, q, zip(*cols))
 
     def _coerce(self, other):
         """Ints and Z[zeta_p] elements embed; a BiCycInt must share q."""
@@ -245,32 +246,21 @@ class BiCycInt(CoeffVector):
     def is_zero(self):
         return not any(map(any, self.coeffs))
 
-    def __mul__(self, other):
-        """Product by one packed bigint multiplication.
+    # bound here, not inherited: perfbench/tracer.py rebinds products in vars(cls)
+    __mul__ = __rmul__ = CoeffVector.__mul__
 
-        Each matrix is flattened row by row with row stride 2q-3, the width
-        of a row of the unreduced product, so entry (i, j) sits at
-        i*(2q-3) + j and the 1-D product of the flattened lists is the 2-D
-        convolution, its row i+k read off as one slice.  The zeta_q
-        direction is then reduced row by row, the zeta_p direction column
-        by column.
-        """
-        other = self._coerce(other)
-        p, q = self.p, self.q
-        stride = 2 * q - 3
-        flat = signed_packed_mul(self._flatten(stride), other._flatten(stride))
-        rows = range(0, len(flat), stride)
-        half = [_reduce_exponents(q, flat[i : i + stride]) for i in rows]
-        cols = [_reduce_exponents(p, [row[j] for row in half]) for j in range(q - 1)]
-        return BiCycInt(p, q, zip(*cols))
-
-    __rmul__ = __mul__
-
-    def _flatten(self, stride):
-        """The entries as one list, row i starting at i*stride."""
-        pad = (0,) * (stride - (self.q - 1))
+    def _flat(self):
+        """The entries row by row with row stride 2q-3, the width of a row
+        of the unreduced product: entry (i, j) sits at i*(2q-3) + j, so the
+        1-D product of two such lists is the 2-D convolution."""
+        pad = (0,) * (self.q - 2)
         flat = [c for row in self.coeffs for c in row + pad]
         return flat[: len(flat) - len(pad)]
+
+    def _fold(self, flat):
+        stride = 2 * self.q - 3
+        rows = [flat[i : i + stride] for i in range(0, len(flat), stride)]
+        return BiCycInt.from_exponent_grid(self.p, self.q, rows)
 
     def galois(self, s=1, t=1):
         """zeta_p -> zeta_p^s, zeta_q -> zeta_q^t."""

@@ -7,6 +7,8 @@ Coefficient i always multiplies sigma^i where sigma: zeta -> zeta^v for
 the chosen primitive root v; exponent arithmetic is mod p-1.
 """
 
+from operator import add
+
 from .arith import VerificationError, canon_power, multiplicative_order, packed_mul
 from .cyclotomic import CoeffVector
 
@@ -22,18 +24,10 @@ class GroupRingElt(CoeffVector):
         vec[i % (p - 1)] = coefficient
         return cls(p, vec)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def _fold(self, conv):
+        """sigma^(p-1) = 1: exponent p-1+i wraps onto i."""
         n = self.p - 1
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return GroupRingElt(self.p, out)
-
-    __rmul__ = __mul__
+        return GroupRingElt(self.p, map(add, conv[:n], conv[n:] + [0]))
 
     def coefficient_sum(self):
         return sum(self.coeffs)

@@ -8,6 +8,7 @@ non-principality.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .arith import (
     MILLER_RABIN_WITNESS_COUNT,
@@ -186,8 +187,9 @@ def _l1_shell(length, total, bound):
     if length == 0:
         yield ()
         return
-    for c in range(-bound, bound + 1):
-        if abs(c) <= total <= abs(c) + (length - 1) * bound:
+    reach = min(bound, total)
+    for c in range(-reach, reach + 1):
+        if total <= abs(c) + (length - 1) * bound:
             for rest in _l1_shell(length - 1, total - abs(c), bound):
                 yield (c,) + rest
 
@@ -205,7 +207,10 @@ def principal_norm_probe(
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
+    # base = lambda^(p+1) * x is linear in x: the sum of x_i times the
+    # coefficients of lambda^(p+1) * zeta^i, so the sweep makes no product
     shift = lambda_element(p) ** (p + 1)
+    columns = list(zip(*[(shift * CycInt.zeta(p, i)).coeffs for i in range(p - 1)]))
     report = ProbeReport(
         p=p, search_bound=search_bound, coeff_bound=coeff_bound, candidates_tested=0
     )
@@ -215,7 +220,7 @@ def principal_norm_probe(
             break
         # the last x may take only some of the a in [1, p-1]
         shifts = range(1, min(p, left + 1))
-        base = shift * CycInt(p, x_vec)
+        base = CycInt(p, [sum(map(mul, x_vec, col)) for col in columns])
         for a, n in zip(shifts, translate_norms(base, shifts)):
             report.candidates_tested += 1
             n = abs(n)

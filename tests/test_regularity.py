@@ -13,7 +13,6 @@ from stickelberger.regularity import (
     bernoulli_mod_p,
     irregular_indices,
     q_root_scan,
-    scan_range,
 )
 
 # classical table: irregular primes below 160 with their Bernoulli indices
@@ -157,13 +156,6 @@ class TestScan:
         vd = q_root_scan(3)
         assert vd.all_roots == frozenset()
         assert vd.verdict == "regular"
-
-    def test_scan_range_helper(self):
-        verdicts = scan_range(40)
-        assert [vd.p for vd in verdicts] == [
-            3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-        ]
-        assert verdicts[-1].verdict == "irregular"
 
 
 class TestVIndependence:
