@@ -326,7 +326,7 @@ def field_make(p: int, q: int) -> FieldDesc:
     f = multiplicative_order(q, p)
     if f == 1:
         modulus = (0, 1)
-        g0 = (primitive_root(q) if q > 2 else 1,)
+        g0 = (primitive_root(q),)
     else:
         modulus = _find_modulus(q, f)
         g0 = _find_generator(modulus, q, f)

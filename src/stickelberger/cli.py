@@ -3,20 +3,19 @@
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (a VerificationError prints one `error:` line; a valuation that passes
 the norm bound of its element is one), 2 = bad input or
-configuration, among them a --pmax above MAX_SCAN_PMAX, a `gauss
-verify` pair beyond MAX_GAUSS_P, MAX_RING_ENTRIES or MAX_FIELD_ORDER,
-a `principality probe` beyond MAX_PROBE_P or MAX_PROBE_BOUND, a
-`bernoulli --p` above MAX_BERNOULLI_P and a `stickelberger show -p`
-above MAX_SHOW_P.
+configuration, among them an integer option that is not positive or
+exceeds its entry in LIMITS, and a `gauss verify` pair beyond
+MAX_RING_ENTRIES or MAX_FIELD_ORDER.
 Reports carry no timestamps and all iteration orders are fixed, so
 identical invocations produce identical bytes regardless of the --jobs
-setting.
+setting.  Every JSON report goes through one encoder, `_encode`.
 """
 
 import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .arith import VerificationError, is_prime, multiplicative_order, primitive_root
@@ -63,11 +62,45 @@ MAX_FIELD_ORDER = 2**20
 MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
-# Largest -p that `bernoulli --p` and `stickelberger show -p` accept.  Both are
-# quasi-linear in p: at p = 199999, bernoulli took 13 s and 74 MB peak RSS,
-# show 6 s and 186 MB (2-vCPU VM, Python 3.11).
-MAX_BERNOULLI_P = 200_000
-MAX_SHOW_P = 200_000
+# Largest -p of the commands that are quasi-linear in p.  At p = 199999,
+# bernoulli took 13 s and 74 MB peak RSS, stickelberger show 6 s and 186 MB,
+# principality test -q 1199993 (f = 2) 12 s and 109 MB, and principality
+# corollary 0.7 s (cold CLI, 2-vCPU VM, Python 3.11).
+MAX_P = 200_000
+
+# Largest --jobs.  With the fork start method a process pool starts all its
+# workers at its first task, so --jobs processes start at once.
+MAX_JOBS = 64
+
+# The integer options of every command, checked by `main` before any work:
+# flag -> the largest accepted value, or None for any positive value.
+LIMITS = {
+    "scan-irregular": {"--pmax": MAX_SCAN_PMAX, "--jobs": MAX_JOBS},
+    "bernoulli": {"--p": MAX_P},
+    "stickelberger show": {"-p": MAX_P, "-q": None},
+    "gauss verify": {"-p": MAX_GAUSS_P, "-q": None},
+    "principality test": {"-p": MAX_P, "-q": None},
+    "principality corollary": {"-p": MAX_P},
+    "principality probe": {
+        "-p": MAX_PROBE_P,
+        "--bound": MAX_PROBE_BOUND,
+        "--coeff-bound": None,
+    },
+    "suite": {"--pmax": MAX_SCAN_PMAX, "--jobs": MAX_JOBS},
+}
+
+
+def _limit_error(command, args):
+    """Why `main` refuses the integer options of `command`, or None."""
+    for flag, limit in LIMITS[command].items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is None:
+            continue
+        if value <= 0:
+            return f"{flag} must be positive"
+        if limit is not None and value > limit:
+            return f"{flag} must be at most {limit}"
+    return None
 
 
 def _emit(text, out):
@@ -76,8 +109,25 @@ def _emit(text, out):
         out.write("\n")
 
 
+def _encode(obj):
+    """The JSON form of a report object: its `to_json_obj()` if it has one,
+    else a dataclass's fields in declaration order; a frozenset is sorted."""
+    if hasattr(obj, "to_json_obj"):
+        return obj.to_json_obj()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_dump(obj, out):
-    _emit(json.dumps(obj, indent=2), out)
+    _emit(json.dumps(obj, indent=2, default=_encode), out)
+
+
+def _report(obj, out):
+    """Write a report object as JSON, headed by the version."""
+    _json_dump({"version": __version__, **_encode(obj)}, out)
 
 
 def _coeff_strings(elt):
@@ -129,9 +179,6 @@ def cmd_scan_irregular(args, out):
 
 
 def cmd_bernoulli(args, out):
-    if args.p > MAX_BERNOULLI_P:
-        print(f"error: --p must be at most {MAX_BERNOULLI_P}", file=sys.stderr)
-        return 2
     table = bernoulli_mod_p(args.p)
     _emit(f"# stickelberger {__version__}", out)
     _emit(f"# bernoulli p={args.p}", out)
@@ -143,9 +190,6 @@ def cmd_bernoulli(args, out):
 
 def cmd_stickelberger_show(args, out):
     p = args.p
-    if p > MAX_SHOW_P:
-        print(f"error: -p must be at most {MAX_SHOW_P}", file=sys.stderr)
-        return 2
     v = primitive_root(p)
     s = stickelberger_S(p, v)
     big_p = polynomial_P(p, v)
@@ -166,10 +210,8 @@ def cmd_stickelberger_show(args, out):
         },
     }
     if args.q is not None:
-        f = multiplicative_order(args.q, p)
-        if f == 1:
-            raise ValueError(f"q={args.q} splits (f=1); S2 is undefined")
         s2 = polynomial_S2(p, args.q, v)
+        f = multiplicative_order(args.q, p)
         payload["S2"] = {
             "q": args.q,
             "f": f,
@@ -185,9 +227,8 @@ def cmd_stickelberger_show(args, out):
 
 
 def _gauss_size_error(p, q):
-    """Why `gauss verify` refuses (p, q) as too large, or None."""
-    if p > MAX_GAUSS_P:
-        return f"-p must be at most {MAX_GAUSS_P}"
+    """Why `gauss verify` refuses (p, q) as too large for its ring or its
+    field, or None; -p itself is bounded in LIMITS."""
     if (p - 1) * (q - 1) > MAX_RING_ENTRIES:
         return f"(p-1)(q-1) = {(p - 1) * (q - 1)} exceeds {MAX_RING_ENTRIES}"
     if is_prime(p) and is_prime(q) and p != q:
@@ -203,40 +244,25 @@ def cmd_gauss_verify(args, out):
         print(f"error: {error}", file=sys.stderr)
         return 2
     record = build_record(args.p, args.q)
-    payload = {"version": __version__}
-    payload.update(record.to_json_obj())
-    _json_dump(payload, out)
+    _report(record, out)
     return 0 if record.ok else 1
 
 
 def cmd_principality_test(args, out):
     report = principality_test(args.p, args.q)
-    payload = {"version": __version__}
-    payload.update(report.to_json_obj())
-    _json_dump(payload, out)
+    _report(report, out)
     return 0 if report.full_orbit_sum_ok else 1
 
 
 def cmd_principality_corollary(args, out):
     verdict = half_degree_corollary(args.p)
-    payload = {"version": __version__}
-    payload.update(verdict.to_json_obj())
-    _json_dump(payload, out)
+    _report(verdict, out)
     return 0 if verdict.verdict else 1
 
 
 def cmd_principality_probe(args, out):
-    for flag, value, limit in (
-        ("-p", args.p, MAX_PROBE_P),
-        ("--bound", args.bound, MAX_PROBE_BOUND),
-    ):
-        if value > limit:
-            print(f"error: {flag} must be at most {limit}", file=sys.stderr)
-            return 2
     report = principal_norm_probe(args.p, args.bound, args.coeff_bound)
-    payload = {"version": __version__}
-    payload.update(report.to_json_obj())
-    _json_dump(payload, out)
+    _report(report, out)
     return 0 if not report.counterexamples else 1
 
 
@@ -257,35 +283,21 @@ def cmd_suite(args, out):
     else:
         scan = [_scan_worker(p) for p in primes]
         gauss = [_suite_gauss_item(pair) for pair in SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS]
-    principality = [
-        principality_test(p, q).to_json_obj()
-        for (p, q) in SUITE_INERT_PAIRS
-    ]
-    corollaries = [
-        half_degree_corollary(p).to_json_obj()
-        for p in primes
-        if p % 4 == 3 and p > 3
-    ]
-    failures = []
-    for item in gauss:
-        if not item["ok"]:
-            failures.append(f"gauss p={item['p']} q={item['q']}")
-    for vd in scan:
-        if not vd.agreement:
-            failures.append(f"scan p={vd.p}")
-    for item in principality:
-        if not item["full_orbit_sum_ok"]:
-            failures.append(f"principality p={item['p']} q={item['q']}")
-    for item in corollaries:
-        if not item["verdict"]:
-            failures.append(f"corollary p={item['p']}")
+    principality = [principality_test(p, q) for (p, q) in SUITE_INERT_PAIRS]
+    corollaries = [half_degree_corollary(p) for p in primes if p % 4 == 3 and p > 3]
+    failures = (
+        [f"gauss p={r['p']} q={r['q']}" for r in gauss if not r["ok"]]
+        + [f"scan p={vd.p}" for vd in scan if not vd.agreement]
+        + [f"principality p={r.p} q={r.q}" for r in principality if not r.full_orbit_sum_ok]
+        + [f"corollary p={r.p}" for r in corollaries if not r.verdict]
+    )
     # the config echo carries only math-relevant settings: --jobs must not
     # change a single output byte
     payload = {
         "version": __version__,
         "config": {"pmax": args.pmax},
         "gauss_records": gauss,
-        "scan": [vd.to_json_obj() for vd in scan],
+        "scan": scan,
         "principality": principality,
         "half_degree_corollaries": corollaries,
         "summary": {
@@ -365,13 +377,10 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("pmax", "jobs", "bound", "coeff_bound"):
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            print(f"error: --{name.replace('_', '-')} must be positive", file=sys.stderr)
-            return 2
-    if getattr(args, "pmax", 0) > MAX_SCAN_PMAX:
-        print(f"error: --pmax must be at most {MAX_SCAN_PMAX}", file=sys.stderr)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    error = _limit_error(command, args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         return args.func(args, out)

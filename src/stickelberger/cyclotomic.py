@@ -396,22 +396,14 @@ def hensel_roots(p, q):
         raise ValueError(f"q={q} is not 1 mod p={p}: no degree-1 splitting")
     # enough for the valuations of G, at most p-1, without a second lift
     precision = 2 * p + 4
-    base = pow(primitive_root(q) if q > 2 else 1, (q - 1) // p, q)
-    residues = sorted(pow(base, t, q) for t in range(1, p))
-    reference = residues[0]
-    labels = {pow(reference, t, q): t for t in range(1, p)}
-    roots = [
-        HenselRoot(
-            p=p,
-            q=q,
-            precision=precision,
-            root=_lift_root(p, q, r, precision),
-            label=labels[r],
-        )
-        for r in residues
+    modulus = q ** precision
+    base = pow(primitive_root(q), (q - 1) // p, q)
+    # the lift of a power is the power of the lift, since lifts are unique
+    lifted = _lift_root(p, q, min(pow(base, t, q) for t in range(1, p)), precision)
+    return [
+        HenselRoot(p=p, q=q, precision=precision, root=pow(lifted, t, modulus), label=t)
+        for t in range(1, p)
     ]
-    roots.sort(key=lambda h: h.label)
-    return roots
 
 
 def ideal_valuation(a: CycInt, h: HenselRoot) -> int:

@@ -75,9 +75,8 @@ class GaussSumRecord:
 
 def _character_grid(fd: FieldDesc):
     """Accumulate the defining sum on the raw exponent grid
-    zeta_p^(-c(x)) zeta_q^(Tr x), plus the zeta_q^0 slice before any basis
-    reduction (the sum over trace-zero x), in one walk x = gen^k over
-    k = 0..q^f-2.
+    zeta_p^(-c(x)) zeta_q^(Tr x), before any basis reduction, in one walk
+    x = gen^k over k = 0..q^f-2; column 0 is the sum over trace-zero x.
 
     Since zeta_p_image = gen^((q^f-1)/p), the character exponent of gen^k
     is c = k mod p.  The trace is F_q-linear, so Tr x is the dot product of
@@ -90,7 +89,6 @@ def _character_grid(fd: FieldDesc):
     one = (1,) + (0,) * (f - 1)
     basis_traces = [ff_trace(tuple(int(i == j) for j in range(f)), fd) for i in range(f)]
     grid = [[0] * q for _ in range(p)]
-    slice0 = [0] * p
     x = one
     for k in range(fd.order - 1):
         if k and x == one:
@@ -99,14 +97,12 @@ def _character_grid(fd: FieldDesc):
             )
         t = sum(map(mul, x, basis_traces)) % q
         grid[-k % p][t] += 1
-        if t == 0:
-            slice0[-k % p] += 1
         x = ff_mul(x, fd.generator, fd)
     if x != one:
         raise VerificationError(
             f"generator of F_{q}^{f} does not have order {fd.order - 1}"
         )
-    return grid, slice0
+    return grid
 
 
 def resolvent_form(p: int, q: int, rho: int) -> BiCycInt:
@@ -190,7 +186,7 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
     p, q = fd.p, fd.q
     v = primitive_root(p)
     f = fd.f
-    grid, slice0 = _character_grid(fd)
+    grid = _character_grid(fd)
     g = BiCycInt.from_exponent_grid(p, q, grid)
 
     checks = {}
@@ -214,8 +210,10 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
 
     if f == 1:
         # the defining sum has no trace-zero term at all when q splits
-        checks["zeta_q0_slice_zero"] = all(c == 0 for c in slice0)
-        checks["g_congruent_minus_one_mod_pi"] = bi_lambda_valuation(g + 1) >= 1
+        checks["zeta_q0_slice_zero"] = not any(row[0] for row in grid)
+        # v(g + 1) is taken once, for this check and the flags below
+        pi_profile = pi_adic_profile(g, G, p, q)
+        checks["g_congruent_minus_one_mod_pi"] = pi_profile["v_g_plus_1"] >= 1
 
         rho = extract_rho(g)
         checks["resolvent_matches_extracted_rho"] = resolvent_form(p, q, rho) == g
@@ -241,7 +239,6 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
             zeta_residue = fd.zeta_p_image[0] % q
             flags["profile_canonical_root"] = matches[0]
             flags["profile_matches_character_root"] = matches[0] == zeta_residue
-        pi_profile = pi_adic_profile(g, G, p, q)
         checks["pi_adic_branch_exact"] = pi_profile.pop("branch_exact")
         flags.update(pi_profile)
     else:

@@ -9,7 +9,13 @@ the chosen primitive root v; exponent arithmetic is mod p-1.
 
 from operator import add
 
-from .arith import VerificationError, canon_power, multiplicative_order, packed_mul
+from .arith import (
+    VerificationError,
+    canon_power,
+    is_prime,
+    multiplicative_order,
+    packed_mul,
+)
 from .cyclotomic import CoeffVector
 
 
@@ -153,12 +159,14 @@ def polynomial_Q1_factorization(p, v):
 
 
 def polynomial_S2(p, q, v) -> GroupRingElt:
-    """Folded Stickelberger element for inertial degree f > 1:
+    """Folded Stickelberger element for a prime q of inertial degree f > 1:
     coefficient i is (sum_j v^(-(i+jm)))/p for i < m = (p-1)/f, an exact
     integer."""
+    if not is_prime(q) or q == p:
+        raise ValueError(f"q={q} is not a prime other than p={p}")
     f = multiplicative_order(q, p)
     if f == 1:
-        raise ValueError("S2 is undefined for f = 1; use S")
+        raise ValueError(f"q={q} splits (f = 1), where S2 is undefined")
     m = (p - 1) // f
     coeffs = [0] * (p - 1)
     for i in range(m):

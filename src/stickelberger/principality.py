@@ -20,7 +20,7 @@ from .arith import (
     primitive_root,
 )
 from .cyclotomic import CycInt, lambda_element, translate_norms
-from .groupring import polynomial_S2
+from .groupring import fp_gr_eval_powers, polynomial_S2
 
 
 @dataclass(frozen=True)
@@ -35,45 +35,24 @@ class PrincipalityReport:
     full_orbit_sum_ok: bool  # the l = m identity: p * sum c_i = p(p-1)/2
     certificate: str  # "p-principal" / "inconclusive"
 
-    def to_json_obj(self):
-        return {
-            "p": self.p,
-            "q": self.q,
-            "f": self.f,
-            "m": self.m,
-            "v": self.v,
-            "s2_coeffs": list(self.s2_coeffs),
-            "sigma_values": {str(l): val for l, val in sorted(self.sigma_values.items())},
-            "full_orbit_sum_ok": self.full_orbit_sum_ok,
-            "certificate": self.certificate,
-        }
-
 
 def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityReport:
     """Evaluate the m-1 congruences sum_i c_i v^(lfi) mod p built from the
-    folded Stickelberger coefficients c_i.
+    folded Stickelberger coefficients c_i, all from one chirp product.
 
     All values nonzero certifies that the prime ideals over q are
     p-principal; a vanishing value is inconclusive.
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    if not is_prime(q):
-        raise ValueError(f"q={q} is not prime")
-    if q == p:
-        raise ValueError("q must differ from p")
-    f = multiplicative_order(q, p)
-    if f == 1:
-        raise ValueError("test undefined for f = 1 (use other means)")
     if v is None:
         v = primitive_root(p)
-    m = (p - 1) // f
     s2 = polynomial_S2(p, q, v)
+    f = multiplicative_order(q, p)
+    m = (p - 1) // f
     coeffs = s2.coeffs[:m]
-    sigma_values = {}
-    for l in range(1, m):
-        x = canon_power(v, l * f, p)
-        sigma_values[l] = sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+    values = fp_gr_eval_powers(s2, canon_power(v, f, p))
+    sigma_values = {l: values[l] for l in range(1, m)}
     full_orbit_ok = p * sum(coeffs) == p * (p - 1) // 2
     certificate = (
         "p-principal"
@@ -100,15 +79,6 @@ class HalfDegreeVerdict:
     sigma: int  # the single l = 1 congruence value, an exact integer
     sigma_mod_p: int
     verdict: bool  # True: every prime ideal with f = (p-1)/2 is p-principal
-
-    def to_json_obj(self):
-        return {
-            "p": self.p,
-            "v": self.v,
-            "sigma": self.sigma,
-            "sigma_mod_p": self.sigma_mod_p,
-            "verdict": self.verdict,
-        }
 
 
 def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
@@ -159,19 +129,7 @@ class ProbeReport:
     counterexamples: list = field(default_factory=list)
     status: str = "ok"
     probabilistic_primality_used: bool = False
-
-    def to_json_obj(self):
-        return {
-            "p": self.p,
-            "search_bound": self.search_bound,
-            "coeff_bound": self.coeff_bound,
-            "candidates_tested": self.candidates_tested,
-            "witnesses": [w.to_json_obj() for w in self.witnesses],
-            "counterexamples": [w.to_json_obj() for w in self.counterexamples],
-            "status": self.status,
-            "probabilistic_primality_used": self.probabilistic_primality_used,
-            "miller_rabin_witness_count": MILLER_RABIN_WITNESS_COUNT,
-        }
+    miller_rabin_witness_count: int = field(default=MILLER_RABIN_WITNESS_COUNT, init=False)
 
 
 def _graded_lex_vectors(length, bound):

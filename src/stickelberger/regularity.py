@@ -97,17 +97,6 @@ class RegularityVerdict:
     verdict: str  # "regular" / "irregular", decided by the oracle
     agreement: bool  # |odd_roots| == |irregular_indices|
 
-    def to_json_obj(self):
-        return {
-            "p": self.p,
-            "v": self.v,
-            "odd_roots": sorted(self.odd_roots),
-            "all_roots": sorted(self.all_roots),
-            "irregular_indices": sorted(self.irregular_indices),
-            "verdict": self.verdict,
-            "agreement": self.agreement,
-        }
-
 
 def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     """Evaluate Q at v^n for n in [2, p-2] and cross the odd-exponent root
@@ -148,17 +137,6 @@ class HalfBernoulliCheck:
     s2: int  # sum of odd-index inverse powers of v
     big_v: int  # -(s1 - s2)
     ok: bool
-
-    def to_json_obj(self):
-        return {
-            "p": self.p,
-            "v": self.v,
-            "q_at_minus_one": self.q_at_minus_one,
-            "s1": self.s1,
-            "s2": self.s2,
-            "V": self.big_v,
-            "ok": self.ok,
-        }
 
 
 def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:

@@ -4,10 +4,18 @@ against.  Nothing here is used by the package itself.
 
 from itertools import islice
 
-from stickelberger.arith import FieldDesc, _vectors, is_prime, multiplicative_order
+from stickelberger.arith import (
+    FieldDesc,
+    _vectors,
+    canon_power,
+    is_prime,
+    multiplicative_order,
+    primitive_root,
+)
 from stickelberger.cyclotomic import (
     BiCycInt,
     CycInt,
+    _lift_root,
     _reduce_exponents,
     galois_apply,
     lambda_element,
@@ -120,3 +128,23 @@ def probe_witnesses(p, search_bound, coeff_bound=2):
         if n >= 2 and is_prime(n):
             witnesses.append((a, x_vec, n, pow(p, (n - 1) // p, n)))
     return witnesses
+
+
+def sigma_values_by_loop(p, f, v, coeffs):
+    """l -> sum_i c_i v^(lfi) mod p for l in [1, m-1], m = len(coeffs), one
+    power per term."""
+    values = {}
+    for l in range(1, len(coeffs)):
+        x = canon_power(v, l * f, p)
+        values[l] = sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+    return values
+
+
+def hensel_roots_by_lifts(p, q):
+    """(label, root) of every root of Phi_p mod q^(2p+4), each lifted on
+    its own: the label of a residue is its discrete log base the smallest
+    residue."""
+    base = pow(primitive_root(q), (q - 1) // p, q)
+    residues = sorted(pow(base, t, q) for t in range(1, p))
+    labels = {pow(residues[0], t, q): t for t in range(1, p)}
+    return sorted((labels[r], _lift_root(p, q, r, 2 * p + 4)) for r in residues)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,12 +11,12 @@ import pytest
 
 from stickelberger import gauss
 from stickelberger.cli import (
-    MAX_BERNOULLI_P,
+    LIMITS,
     MAX_PROBE_BOUND,
     MAX_PROBE_P,
     MAX_SCAN_PMAX,
-    MAX_SHOW_P,
     _gauss_size_error,
+    build_parser,
     main,
 )
 from stickelberger.principality import principal_norm_probe
@@ -74,6 +75,14 @@ class TestExitCodes:
         assert run_cli(["principality", "test", "-p", "5", "-q", "11"])[0] == 2
         assert run_cli(["principality", "corollary", "-p", "13"])[0] == 2
         assert run_cli(["stickelberger", "show", "-p", "5", "-q", "11"])[0] == 2
+
+    @pytest.mark.parametrize("q", [4, 5, 9])
+    def test_s2_needs_a_prime_other_than_p(self, capsys, q):
+        for command in (["stickelberger", "show"], ["principality", "test"]):
+            code, text = run_cli([*command, "-p", "5", "-q", str(q)])
+            assert code == 2 and text == ""
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: q={q} is not a prime other than p=5"]
 
     def test_nonpositive_config_exits_2(self):
         assert run_cli(["scan-irregular", "--pmax", "-3"])[0] == 2
@@ -192,29 +201,81 @@ class TestExitCodes:
         assert run_cli(["principality", "probe", *argv])[0] == 0
         assert len(calls) == 1
 
-    # each command's first computation, which a refusal must never reach
+    # the pool is replaced too, so that no test ever starts a process
+    SCAN_WORK = ["stickelberger.cli.q_root_scan", "stickelberger.cli.ProcessPoolExecutor"]
+
+    # each command's accepted arguments and its first computations, which a
+    # refusal must never reach
     FIRST_WORK = {
-        "bernoulli": ["--p", MAX_BERNOULLI_P, "stickelberger.cli.bernoulli_mod_p"],
-        "stickelberger show": ["-p", MAX_SHOW_P, "stickelberger.cli.primitive_root"],
+        "bernoulli": ({"--p": 7}, ["stickelberger.cli.bernoulli_mod_p"]),
+        "stickelberger show": ({"-p": 5, "-q": 3}, ["stickelberger.cli.primitive_root"]),
+        "gauss verify": ({"-p": 5, "-q": 11}, ["stickelberger.cli.build_record"]),
+        "principality test": (
+            {"-p": 7, "-q": 2},
+            ["stickelberger.cli.principality_test"],
+        ),
+        "principality corollary": (
+            {"-p": 7},
+            ["stickelberger.cli.half_degree_corollary"],
+        ),
+        "principality probe": (
+            {"-p": 3, "--bound": 60, "--coeff-bound": 2},
+            ["stickelberger.cli.principal_norm_probe"],
+        ),
+        "scan-irregular": ({"--pmax": 40, "--jobs": 1}, SCAN_WORK),
+        "suite": ({"--pmax": 40, "--jobs": 1}, SCAN_WORK),
     }
+
+    def test_every_integer_option_has_a_limit(self):
+        def int_options(parser, prefix):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from int_options(sub, prefix + [name])
+                elif action.type is int:
+                    yield " ".join(prefix), action.option_strings[0]
+
+        options = set(int_options(build_parser(), []))
+        assert options == {(c, flag) for c in LIMITS for flag in LIMITS[c]}
+        assert set(self.FIRST_WORK) == set(LIMITS)
+        positive_only = {(c, f) for c in LIMITS for f, limit in LIMITS[c].items() if not limit}
+        assert positive_only == {
+            ("stickelberger show", "-q"),
+            ("gauss verify", "-q"),
+            ("principality test", "-q"),
+            ("principality probe", "--coeff-bound"),
+        }
 
     @pytest.mark.parametrize("command", sorted(FIRST_WORK))
     def test_p_above_the_limit_exits_2_before_any_work(
         self, monkeypatch, capsys, command
     ):
-        flag, limit, first = self.FIRST_WORK[command]
+        """Every entry of the command's LIMITS: a value at the limit reaches
+        the first computation; zero, a negative value and values above the
+        limit exit 2 with one stderr line and no stdout."""
+        accepted, first = self.FIRST_WORK[command]
 
-        def started(*args):
+        def started(*args, **kwargs):
             raise RuntimeError("work started")
 
-        monkeypatch.setattr(first, started)
-        with pytest.raises(RuntimeError, match="work started"):
-            run_cli([*command.split(), flag, str(limit)])
-        for p in (limit + 1, 10**9 + 7):
-            code, text = run_cli([*command.split(), flag, str(p)])
-            assert code == 2 and text == ""
-            err = capsys.readouterr().err.splitlines()
-            assert err == [f"error: {flag} must be at most {limit}"]
+        for target in first:
+            monkeypatch.setattr(target, started)
+
+        def argv(flag, value):
+            options = {**accepted, flag: value}
+            return command.split() + [str(x) for item in options.items() for x in item]
+
+        for flag, limit in LIMITS[command].items():
+            refusals = [(0, "positive"), (-3, "positive")]
+            if limit is not None:
+                with pytest.raises(RuntimeError, match="work started"):
+                    run_cli(argv(flag, limit))
+                refusals += [(limit + 1, f"at most {limit}"), (10**9 + 7, f"at most {limit}")]
+            for value, reason in refusals:
+                code, text = run_cli(argv(flag, value))
+                assert code == 2 and text == ""
+                err = capsys.readouterr().err.splitlines()
+                assert err == [f"error: {flag} must be {reason}"]
 
 
 # sha256 of `gauss verify` stdout beyond the (5, 11) golden, recorded before

@@ -11,6 +11,7 @@ from stickelberger.groupring import GroupRingElt
 from reference import (
     conjugate_product_norm,
     four_term_grid,
+    hensel_roots_by_lifts,
     schoolbook_bicyc_mul,
     schoolbook_cyc_mul,
     schoolbook_group_ring_mul,
@@ -465,6 +466,13 @@ class TestHensel:
     def test_rejects_non_split(self):
         with pytest.raises(ValueError):
             hensel_roots(5, 3)
+
+    def test_powers_of_one_lift_equal_the_lift_of_every_root(self):
+        for p in PRIMES_TO_60:
+            for q in range(2 * p + 1, 400, 2 * p):
+                if is_prime(q):
+                    roots = [(h.label, h.root) for h in hensel_roots(p, q)]
+                    assert roots == hensel_roots_by_lifts(p, q), (p, q)
 
     def test_label_dictionary(self):
         roots = hensel_roots(5, 11)

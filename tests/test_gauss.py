@@ -292,14 +292,9 @@ def per_element_grid(fd):
     """Reference for _character_grid: the character exponent and the trace
     of each field element, computed one element at a time."""
     grid = [[0] * fd.q for _ in range(fd.p)]
-    slice0 = [0] * fd.p
     for x in ff_elements(fd):
-        c = -residue_char_exponent(x, fd) % fd.p
-        t = ff_trace(x, fd)
-        grid[c][t] += 1
-        if t == 0:
-            slice0[c] += 1
-    return grid, slice0
+        grid[-residue_char_exponent(x, fd) % fd.p][ff_trace(x, fd)] += 1
+    return grid
 
 
 class TestCharacterWalk:

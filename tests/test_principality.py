@@ -8,7 +8,12 @@ import pytest
 
 from stickelberger import principality
 from stickelberger.arith import is_prime, multiplicative_order
-from reference import conjugate_product_norm, probe_sweep, probe_witnesses
+from reference import (
+    conjugate_product_norm,
+    probe_sweep,
+    probe_witnesses,
+    sigma_values_by_loop,
+)
 from stickelberger.cyclotomic import CycInt, lambda_element, norm, translate_norms
 from stickelberger.principality import (
     _graded_lex_vectors,
@@ -34,6 +39,16 @@ class TestPrincipalityTest:
         report = principality_test(11, 3)
         assert report.f == 5 and report.m == 2
         assert list(report.sigma_values) == [1]
+
+    def test_chirp_values_equal_the_loop(self):
+        pairs = 0
+        for p in (x for x in range(3, 128) if is_prime(x)):
+            for q in (x for x in range(2, 400) if is_prime(x) and x != p):
+                if multiplicative_order(q, p) > 1:
+                    r = principality_test(p, q)
+                    assert r.sigma_values == sigma_values_by_loop(p, r.f, r.v, r.s2_coeffs)
+                    pairs += 1
+        assert pairs == 2205
 
     def test_rejections(self):
         with pytest.raises(ValueError):
