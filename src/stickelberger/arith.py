@@ -10,16 +10,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MILLER_RABIN_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-# Beyond the deterministic bound: first 40 primes as fixed witnesses.
+# The first 40 primes, the fixed Miller-Rabin bases.
 _MR_EXTRA_WITNESSES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
     149, 151, 157, 163, 167, 173,
 )
-
+# (psi_k, k): psi_k is the smallest strong pseudoprime to the first k prime
+# bases (OEIS A014233; Jaeschke, Math. Comp. 61 (1993); Sorenson-Webster,
+# Math. Comp. 86 (2017)), so the first k bases decide every n < psi_k.
+# psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so those rows are left out.
+_MR_PSI = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+MILLER_RABIN_DETERMINISTIC_BOUND = _MR_PSI[-1][0]
 MILLER_RABIN_WITNESS_COUNT = len(_MR_EXTRA_WITNESSES)
 
 
@@ -54,8 +67,10 @@ def _miller_rabin(n: int, witnesses) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: trial division for small n, Miller-Rabin above.
 
-    Deterministic for n < 2^64 (and in fact below 3.3e24); for larger n a
-    fixed list of 40 prime witnesses is used so results stay reproducible.
+    Below MILLER_RABIN_DETERMINISTIC_BOUND = psi_13 the answer is proven:
+    n < psi_k runs the first k prime bases (table `_MR_PSI`).  At or above
+    it a fixed list of 40 prime bases is used, so results stay
+    reproducible.
     """
     if n < 2:
         return False
@@ -64,8 +79,9 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
-    if n < MILLER_RABIN_DETERMINISTIC_BOUND:
-        return _miller_rabin(n, _MR_WITNESSES)
+    for psi, k in _MR_PSI:
+        if n < psi:
+            return _miller_rabin(n, _MR_EXTRA_WITNESSES[:k])
     return _miller_rabin(n, _MR_EXTRA_WITNESSES)
 
 

@@ -13,12 +13,18 @@ setting.  Every JSON report goes through one encoder, `_encode`.
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, is_dataclass
 
 from . import __version__
-from .arith import VerificationError, is_prime, multiplicative_order, primitive_root
+from .arith import (
+    MILLER_RABIN_DETERMINISTIC_BOUND,
+    VerificationError,
+    is_prime,
+    multiplicative_order,
+    primitive_root,
+)
 from .gauss import build_record
 from .groupring import (
     delta_coeffs,
@@ -56,7 +62,7 @@ MAX_FIELD_ORDER = 2**20
 
 # Largest -p and --bound that `principality probe` accepts.  Nearly all of a
 # probe is Miller-Rabin on norms of about p^2 bits, so a candidate costs
-# about 0.05 ms at p = 7, 1.9 ms at p = 31, 17 ms at p = 53 and 0.46 s at
+# about 0.03 ms at p = 7, 1.9 ms at p = 31, 17 ms at p = 53 and 0.46 s at
 # p = 101.  -p 11 --bound 100000 took 6.4 s; at both bounds, -p 31
 # --bound 100000 took 161 s (2-vCPU VM, Python 3.11).
 MAX_PROBE_P = 31
@@ -68,6 +74,12 @@ MAX_PROBE_BOUND = 100_000
 # corollary 0.7 s (cold CLI, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
 
+# Largest -q of `stickelberger show` and `principality test`, which need only
+# q mod p and the primality of q: below MILLER_RABIN_DETERMINISTIC_BOUND,
+# is_prime proves q prime with at most 13 Miller-Rabin bases.  Beyond it, a
+# 14000-bit q would take minutes of Miller-Rabin before any output.
+MAX_Q = MILLER_RABIN_DETERMINISTIC_BOUND - 1
+
 # Largest --jobs.  With the fork start method a process pool starts all its
 # workers at its first task, so --jobs processes start at once.
 MAX_JOBS = 64
@@ -77,9 +89,9 @@ MAX_JOBS = 64
 LIMITS = {
     "scan-irregular": {"--pmax": MAX_SCAN_PMAX, "--jobs": MAX_JOBS},
     "bernoulli": {"--p": MAX_P},
-    "stickelberger show": {"-p": MAX_P, "-q": None},
+    "stickelberger show": {"-p": MAX_P, "-q": MAX_Q},
     "gauss verify": {"-p": MAX_GAUSS_P, "-q": None},
-    "principality test": {"-p": MAX_P, "-q": None},
+    "principality test": {"-p": MAX_P, "-q": MAX_Q},
     "principality corollary": {"-p": MAX_P},
     "principality probe": {
         "-p": MAX_PROBE_P,
@@ -162,6 +174,9 @@ def cmd_scan_irregular(args, out):
     # rows are printed only after the whole scan, so a failed check leaves
     # stdout empty
     if args.jobs > 1:
+        # imported here: a single-job run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(map(_scan_row, pool.map(_scan_worker, primes)))
     else:
@@ -275,6 +290,8 @@ def cmd_suite(args, out):
     """One deterministic report over the whole verification battery."""
     primes = _primes_upto(args.pmax)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             scan = list(pool.map(_scan_worker, primes))
             gauss = list(
@@ -383,7 +400,14 @@ def main(argv=None, out=None):
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`); stdout now goes to devnull, so the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1

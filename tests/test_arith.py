@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickelberger.arith import (
+    _MR_EXTRA_WITNESSES,
+    _MR_PSI,
     _is_irreducible,
+    _miller_rabin,
     _poly_powmod,
     canon_power,
     factorize,
@@ -46,6 +49,31 @@ class TestPrimes:
         assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
         assert not is_prime(341)  # Fermat pseudoprime base 2
         assert not is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+
+    @pytest.mark.parametrize("psi, k", _MR_PSI)
+    def test_every_psi_is_rejected(self, psi, k):
+        # psi_k passes the first k bases, so is_prime must run more of them
+        assert _miller_rabin(psi, _MR_EXTRA_WITNESSES[:k])
+        assert not is_prime(psi)
+
+    def test_psi_12_is_composite(self):
+        psi_12 = 318665857834031151167461
+        assert psi_12 == 399165290221 * 798330580441
+        assert not is_prime(psi_12)
+
+    @pytest.mark.parametrize("psi", [psi for psi, _ in _MR_PSI])
+    def test_agrees_with_all_40_bases_around_each_psi(self, psi):
+        for n in range(psi - 2000, psi + 2001):
+            if n > _MR_EXTRA_WITNESSES[-1]:
+                assert is_prime(n) == _miller_rabin(n, _MR_EXTRA_WITNESSES), n
+
+    def test_agrees_with_a_sieve(self):
+        n = 200_000
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for d in range(2, int(n**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+        assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
 
     def test_factorize(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
