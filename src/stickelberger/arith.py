@@ -6,6 +6,7 @@ modulus together with the distinguished element of multiplicative order p
 that pins down the p-th power residue character.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
@@ -34,6 +35,29 @@ _MR_PSI = (
 )
 MILLER_RABIN_DETERMINISTIC_BOUND = _MR_PSI[-1][0]
 MILLER_RABIN_WITNESS_COUNT = len(_MR_EXTRA_WITNESSES)
+# (bound, bases): the bases decide every n < bound.  Below psi_5 Jaeschke's
+# sets (Math. Comp. 61 (1993)) need fewer bases than the first primes.
+_MR_BASES = (
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+) + tuple(
+    (psi, _MR_EXTRA_WITNESSES[:k]) for psi, k in _MR_PSI if psi > 1_122_004_669_633
+)
+
+
+def _primes_below(n):
+    """The primes below n, by a sieve of Eratosthenes on a bytearray."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(n - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    return [m for m in range(n) if sieve[m]]
+
+
+# Trial division by every prime below 1024 is one gcd with their product.
+_SMALL_PRIMES = frozenset(_primes_below(1024))
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 class VerificationError(AssertionError):
@@ -65,23 +89,23 @@ def _miller_rabin(n: int, witnesses) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: trial division for small n, Miller-Rabin above.
+    """Primality test: one gcd with the primes below 1024, Miller-Rabin above.
 
     Below MILLER_RABIN_DETERMINISTIC_BOUND = psi_13 the answer is proven:
-    n < psi_k runs the first k prime bases (table `_MR_PSI`).  At or above
-    it a fixed list of 40 prime bases is used, so results stay
-    reproducible.
+    n < bound runs the bases of the first row of `_MR_BASES` that covers
+    it.  At or above psi_13 a fixed list of 40 prime bases is used, so
+    results stay reproducible.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    if n < 41 * 41:
+    if math.gcd(n, _PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    # no prime factor below 1024, so n < 1024^2 has none at all
+    if n < 1024 * 1024:
         return True
-    for psi, k in _MR_PSI:
-        if n < psi:
-            return _miller_rabin(n, _MR_EXTRA_WITNESSES[:k])
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            return _miller_rabin(n, bases)
     return _miller_rabin(n, _MR_EXTRA_WITNESSES)
 
 

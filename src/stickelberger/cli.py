@@ -60,11 +60,12 @@ MAX_GAUSS_P = 200
 MAX_RING_ENTRIES = 10_000
 MAX_FIELD_ORDER = 2**20
 
-# Largest -p and --bound that `principality probe` accepts.  Nearly all of a
-# probe is Miller-Rabin on norms of about p^2 bits, so a candidate costs
-# about 0.03 ms at p = 7, 1.9 ms at p = 31, 17 ms at p = 53 and 0.46 s at
-# p = 101.  -p 11 --bound 100000 took 6.4 s; at both bounds, -p 31
-# --bound 100000 took 161 s (2-vCPU VM, Python 3.11).
+# Largest -p and --bound that `principality probe` accepts.  A candidate's
+# norm has about p^2 bits and most of its cost is Miller-Rabin on it: in
+# process, a candidate costs about 0.017 ms at p = 7 (half of it is_prime),
+# 0.044 ms at p = 11 and 1.6 ms at p = 31 (over 80% is_prime).
+# -p 11 --bound 100000 took 3.7 s; at both bounds, -p 31
+# --bound 100000 took 120 s (cold CLI, 2-vCPU VM, Python 3.11).
 MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 

@@ -446,8 +446,8 @@ def ideal_valuation(a: CycInt, h: HenselRoot) -> int:
 def _root_powers(p, bits):
     """A power ell^k > 2^bits of the smallest prime ell = 1 (mod p), and the
     powers r^0..r^(p-1) mod ell^k of a root r of Phi_p.  Since log2(ell) >=
-    bit_length(ell) - 1, the k below suffices.  The probe's norms need only
-    a few distinct sizes, so the last few tables are kept."""
+    bit_length(ell) - 1, the k below suffices.  The probe asks for one
+    table per L1 shell of its sweep, so the last few tables are kept."""
     ell = 2 * p + 1
     while not is_prime(ell):
         ell += 2 * p
@@ -460,34 +460,35 @@ def _root_powers(p, bits):
     return modulus, tuple(powers)
 
 
-def translate_norms(b: CycInt, shifts) -> list:
-    """[N(b + s) for s in shifts], for integer shifts s.
+def root_values(p, vectors, bound):
+    """(modulus, [[b(r^t) mod modulus for t = 1..p-1] for b in vectors]):
+    the values of each Z[zeta_p] coefficient vector b at the p-1 roots r^t
+    of Phi_p, modulo a power of the smallest prime ell = 1 (mod p) above
+    2 * bound^(p-1).  That is twice a bound on |N(a)| for every a whose
+    conjugates all have absolute value at most `bound`, such as
+    sum |a_i| <= bound, so the symmetric residue of the product of the
+    values of a is N(a)."""
+    modulus, powers = _root_powers(p, (p - 1) * bound.bit_length() + 1)
+    tables = []
+    for b in vectors:
+        terms = [(i, c) for i, c in enumerate(b) if c]
+        tables.append(
+            [sum(c * powers[t * i % p] for i, c in terms) % modulus for t in range(1, p)]
+        )
+    return modulus, tables
 
-    N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
-    at the roots r^t of Phi_p, so one evaluation of b at those roots serves
-    every shift: N(b + s) = prod_t (b(r^t) + s).  The roots live mod a power
-    of the smallest prime ell = 1 (mod p), which exceeds twice the bound
-    (sum |b_i| + max |s|)^(p-1) on |N|, so the symmetric residue is N.
-    A rational b needs no roots: N(b_0 + s) = (b_0 + s)^(p-1).
+
+def shift_norms(p, values, at_one, shifts, modulus):
+    """[N(b + s) for s in shifts], for integer shifts s, from the values of
+    b at the p-1 roots of Phi_p (`root_values`, any representatives mod
+    `modulus`) and b(1) = `at_one`, the sum of its coefficients:
+    N(b + s) = prod_t (b(r^t) + s).
 
     Each N is checked against N(a) = a(1)^(p-1) (mod p), from
     a = a(1) (mod lambda).  A modulus too small moves N by a multiple of
     it, which is prime to p, and a table of non-roots gives an unrelated
     residue: either fails the check unless the error is divisible by p.
     """
-    p = b.p
-    if b.is_rational():
-        values = [b.coeffs[0] + s for s in shifts]
-        if 0 in values:
-            raise ValueError("norm of 0 is degenerate")
-        return [v ** (p - 1) for v in values]
-    top = max(map(abs, shifts))
-    modulus, powers = _root_powers(p, _valuation_bound(p, b.coeffs + (top,)) + 1)
-    terms = [(i, c) for i, c in enumerate(b.coeffs) if c]
-    values = [
-        sum(c * powers[t * i % p] for i, c in terms) % modulus for t in range(1, p)
-    ]
-    at_one = sum(b.coeffs)
     norms = []
     for s in shifts:
         n = 1
@@ -501,6 +502,26 @@ def translate_norms(b: CycInt, shifts) -> list:
             )
         norms.append(n)
     return norms
+
+
+def translate_norms(b: CycInt, shifts) -> list:
+    """[N(b + s) for s in shifts], for integer shifts s.
+
+    N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
+    at the roots r^t of Phi_p, so one evaluation of b at those roots serves
+    every shift (`shift_norms`).  Every conjugate of b + s has absolute
+    value at most sum |b_i| + max |s|, which sizes the modulus.
+    A rational b needs no roots: N(b_0 + s) = (b_0 + s)^(p-1).
+    """
+    p = b.p
+    if b.is_rational():
+        values = [b.coeffs[0] + s for s in shifts]
+        if 0 in values:
+            raise ValueError("norm of 0 is degenerate")
+        return [v ** (p - 1) for v in values]
+    bound = sum(map(abs, b.coeffs)) + max(map(abs, shifts))
+    modulus, (values,) = root_values(p, [b.coeffs], bound)
+    return shift_norms(p, values, sum(b.coeffs), shifts, modulus)
 
 
 def norm(a: CycInt) -> int:

@@ -8,7 +8,6 @@ non-principality.
 """
 
 from dataclasses import dataclass, field
-from operator import mul
 
 from .arith import (
     MILLER_RABIN_WITNESS_COUNT,
@@ -19,7 +18,7 @@ from .arith import (
     multiplicative_order,
     primitive_root,
 )
-from .cyclotomic import CycInt, lambda_element, translate_norms
+from .cyclotomic import CycInt, lambda_element, root_values, shift_norms
 from .groupring import fp_gr_eval_powers, polynomial_S2
 
 
@@ -152,6 +151,36 @@ def _l1_shell(length, total, bound):
                 yield (c,) + rest
 
 
+def _sweep_values(p, coeff_bound):
+    """(x, values, at_one, modulus) for every x of the sweep, in graded-lex
+    order: the values of b = lambda^(p+1) * x at the p-1 roots of Phi_p
+    mod `modulus`, and b(1), the sum of its coefficients.
+
+    b is linear in x: the sum of x_i times the row lambda^(p+1) * zeta^i.
+    The rows are evaluated once per L1 shell, at a modulus sized for the
+    whole shell: sum |b_i| <= |x|_1 * max_i |row_i|_1, and the shifts add
+    at most p-1 to each conjugate.  An x then costs nnz(x) * (p-1)
+    products and no ring product.
+    """
+    shift = lambda_element(p) ** (p + 1)
+    rows = [(shift * CycInt.zeta(p, i)).coeffs for i in range(p - 1)]
+    row_sums = [sum(row) for row in rows]
+    widest = max(sum(map(abs, row)) for row in rows)
+    shell = None
+    for x in _graded_lex_vectors(p - 1, coeff_bound):
+        total = sum(map(abs, x))
+        if total != shell:
+            shell = total
+            modulus, table = root_values(p, rows, total * widest + p - 1)
+        values = [0] * (p - 1)
+        at_one = 0
+        for c, row_values, row_sum in zip(x, table, row_sums):
+            if c:
+                values = [v + c * w for v, w in zip(values, row_values)]
+                at_one += c * row_sum
+        yield x, values, at_one, modulus
+
+
 def principal_norm_probe(
     p: int, search_bound: int = 10_000, coeff_bound: int = 2
 ) -> ProbeReport:
@@ -165,21 +194,13 @@ def principal_norm_probe(
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    # base = lambda^(p+1) * x is linear in x: the sum of x_i times the
-    # coefficients of lambda^(p+1) * zeta^i, so the sweep makes no product
-    shift = lambda_element(p) ** (p + 1)
-    columns = list(zip(*[(shift * CycInt.zeta(p, i)).coeffs for i in range(p - 1)]))
     report = ProbeReport(
         p=p, search_bound=search_bound, coeff_bound=coeff_bound, candidates_tested=0
     )
-    for x_vec in _graded_lex_vectors(p - 1, coeff_bound):
-        left = search_bound - report.candidates_tested
-        if left <= 0:
-            break
+    for x, values, at_one, modulus in _sweep_values(p, coeff_bound):
         # the last x may take only some of the a in [1, p-1]
-        shifts = range(1, min(p, left + 1))
-        base = CycInt(p, [sum(map(mul, x_vec, col)) for col in columns])
-        for a, n in zip(shifts, translate_norms(base, shifts)):
+        shifts = range(1, min(p, search_bound - report.candidates_tested + 1))
+        for a, n in zip(shifts, shift_norms(p, values, at_one, shifts, modulus)):
             report.candidates_tested += 1
             n = abs(n)
             if n < 2 or not is_prime(n):
@@ -190,12 +211,13 @@ def principal_norm_probe(
                 report.probabilistic_primality_used = True
             residue = pow(p, (n - 1) // p, n)
             witness = ProbeWitness(
-                a=a, x_coeffs=tuple(x_vec), norm_q=n, residue=residue,
-                passes=residue == 1,
+                a=a, x_coeffs=x, norm_q=n, residue=residue, passes=residue == 1,
             )
             report.witnesses.append(witness)
             if not witness.passes:
                 report.counterexamples.append(witness)
+        if report.candidates_tested >= search_bound:
+            break
     if not report.witnesses:
         report.status = "no candidates"
     return report

@@ -6,6 +6,9 @@ from itertools import islice
 
 from stickelberger.arith import (
     FieldDesc,
+    _MR_EXTRA_WITNESSES,
+    _MR_PSI,
+    _miller_rabin,
     _vectors,
     canon_power,
     is_prime,
@@ -105,6 +108,24 @@ def conjugate_product_norm(a: CycInt) -> int:
     return acc.rational_value()
 
 
+def is_prime_first_bases(n):
+    """Primality by trial division by 2..37, then Miller-Rabin with the
+    first k prime bases below psi_k (`_MR_PSI`) and all 40 at or above
+    psi_13.  `is_prime` reaches the same answers by another route: one gcd
+    with the primes below 1024, then Jaeschke's short base sets."""
+    if n < 2:
+        return False
+    for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % d == 0:
+            return n == d
+    if n < 41 * 41:
+        return True
+    for psi, k in _MR_PSI:
+        if n < psi:
+            return _miller_rabin(n, _MR_EXTRA_WITNESSES[:k])
+    return _miller_rabin(n, _MR_EXTRA_WITNESSES)
+
+
 def probe_sweep(p, search_bound, coeff_bound=2):
     """The first `search_bound` candidates a + lambda^(p+1) * x of the norm
     probe, in sweep order, as (a, x_vec, q1)."""
@@ -121,11 +142,12 @@ def probe_sweep(p, search_bound, coeff_bound=2):
 
 def probe_witnesses(p, search_bound, coeff_bound=2):
     """(a, x_vec, q, p^((q-1)/p) mod q) for every candidate whose
-    conjugate-product norm is, up to sign, a prime q."""
+    conjugate-product norm is, up to sign, a prime q by
+    `is_prime_first_bases`."""
     witnesses = []
     for a, x_vec, q1 in probe_sweep(p, search_bound, coeff_bound):
         n = abs(conjugate_product_norm(q1))
-        if n >= 2 and is_prime(n):
+        if is_prime_first_bases(n):
             witnesses.append((a, x_vec, n, pow(p, (n - 1) // p, n)))
     return witnesses
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickelberger.arith import (
+    _MR_BASES,
     _MR_EXTRA_WITNESSES,
     _MR_PSI,
     _is_irreducible,
@@ -20,7 +23,7 @@ from stickelberger.arith import (
     residue_char_exponent,
     signed_packed_mul,
 )
-from reference import ff_elements, smallest_prime_with_order
+from reference import ff_elements, is_prime_first_bases, smallest_prime_with_order
 
 ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
 
@@ -67,8 +70,39 @@ class TestPrimes:
             if n > _MR_EXTRA_WITNESSES[-1]:
                 assert is_prime(n) == _miller_rabin(n, _MR_EXTRA_WITNESSES), n
 
+    @pytest.mark.parametrize(
+        "bound, factors, bases",
+        [
+            (4_759_123_141, (48781, 97561), (2, 7, 61)),
+            (1_122_004_669_633, (611557, 1834669), (2, 13, 23, 1_662_803)),
+        ],
+    )
+    def test_jaeschke_bounds_are_strong_pseudoprimes(self, bound, factors, bases):
+        # the bound is the first composite the bases let through, so an n at
+        # the bound must reach the next row of the table
+        assert (bound, bases) in _MR_BASES
+        assert factors[0] * factors[1] == bound
+        assert _miller_rabin(bound, bases)
+        assert not is_prime(bound)
+
+    @pytest.mark.parametrize("centre", [1024**2, 4_759_123_141, 1_122_004_669_633])
+    def test_agrees_with_the_first_bases_near_each_bound(self, centre):
+        for n in range(centre - 2000, centre + 2001):
+            assert is_prime(n) == is_prime_first_bases(n), n
+
+    def test_agrees_with_the_first_bases_on_a_seeded_sample(self):
+        rng = random.Random(10)
+        primes = 0
+        for bits in range(2, 91):
+            for _ in range(150):
+                n = rng.getrandbits(bits) | 1 << (bits - 1)
+                assert is_prime(n) == is_prime_first_bases(n), n
+                primes += is_prime(n)
+        assert primes > 300
+
     def test_agrees_with_a_sieve(self):
-        n = 200_000
+        # crosses 1024^2, below which a gcd with the small primes decides
+        n = 1_100_000
         sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
         for d in range(2, int(n**0.5) + 1):
             if sieve[d]:

@@ -7,16 +7,27 @@ from pathlib import Path
 import pytest
 
 from stickelberger import principality
-from stickelberger.arith import is_prime, multiplicative_order
+from stickelberger.arith import (
+    MILLER_RABIN_DETERMINISTIC_BOUND,
+    is_prime,
+    multiplicative_order,
+)
 from reference import (
     conjugate_product_norm,
     probe_sweep,
     probe_witnesses,
     sigma_values_by_loop,
 )
-from stickelberger.cyclotomic import CycInt, lambda_element, norm, translate_norms
+from stickelberger.cyclotomic import (
+    CycInt,
+    lambda_element,
+    norm,
+    shift_norms,
+    translate_norms,
+)
 from stickelberger.principality import (
     _graded_lex_vectors,
+    _sweep_values,
     half_degree_corollary,
     principal_norm_probe,
     principality_test,
@@ -146,6 +157,16 @@ class TestNormProbe:
         with pytest.raises(ValueError):
             principal_norm_probe(4)
 
+    @pytest.mark.parametrize("p, search_bound, used", [(11, 2000, False), (13, 300, True)])
+    def test_probabilistic_primality_flag(self, p, search_bound, used):
+        # the prime norms have 59-78 bits at p = 11, and some reach
+        # psi_13 (about 2^81.4) at p = 13
+        report = principal_norm_probe(p, search_bound)
+        assert report.probabilistic_primality_used is used
+        assert used == any(
+            w.norm_q >= MILLER_RABIN_DETERMINISTIC_BOUND for w in report.witnesses
+        )
+
 
 class TestProbeNormsAgainstConjugateProducts:
     """The probe's shared evaluation of lambda^(p+1) * x against the
@@ -164,6 +185,22 @@ class TestProbeNormsAgainstConjugateProducts:
             expected = [conjugate_product_norm(base + s) for s in range(1, p)]
             assert translate_norms(base, range(1, p)) == expected
 
+    @pytest.mark.parametrize("coeff_bound", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_shell_values_give_the_norms_of_the_explicit_base(self, p, coeff_bound):
+        # the rows are evaluated once per L1 shell, at a modulus sized for
+        # the shell; each x must still give the norms of its own base
+        shift = lambda_element(p) ** (p + 1)
+        shifts = range(1, p)
+        shells = set()
+        for x, values, at_one, modulus in islice(_sweep_values(p, coeff_bound), 700):
+            shells.add(sum(map(abs, x)))
+            base = shift * CycInt(p, x)
+            assert at_one == sum(base.coeffs)
+            expected = translate_norms(base, shifts)
+            assert shift_norms(p, values, at_one, shifts, modulus) == expected, x
+        assert len(shells) >= 3
+
     @pytest.mark.parametrize("p, search_bound", [(5, 3000), (7, 2000)])
     def test_witnesses_match_reference_sweep(self, p, search_bound):
         report = principal_norm_probe(p, search_bound)
@@ -173,13 +210,13 @@ class TestProbeNormsAgainstConjugateProducts:
 
     def test_sweep_cut_inside_an_x_counts_exactly_the_bound(self, monkeypatch):
         shift_counts = []
-        real = principality.translate_norms
+        real = principality.shift_norms
 
-        def counting(base, shifts):
+        def counting(p, values, at_one, shifts, modulus):
             shift_counts.append(len(shifts))
-            return real(base, shifts)
+            return real(p, values, at_one, shifts, modulus)
 
-        monkeypatch.setattr(principality, "translate_norms", counting)
+        monkeypatch.setattr(principality, "shift_norms", counting)
         report = principal_norm_probe(7, 2003)
         assert report.candidates_tested == 2003
         assert shift_counts == [6] * 333 + [5]
