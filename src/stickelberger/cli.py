@@ -49,15 +49,20 @@ SUITE_INERT_PAIRS = ((5, 3), (7, 2), (11, 3), (5, 7))
 MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
-# each bound lets through (2-vCPU VM, Python 3.11):
-# - p: the coefficients of g^p grow linearly in p, so the packed products
-#   inside g ** p grow faster than the entry count; (181, 19) took 1.6 s, and
-#   beyond the bound (307, 17) took 42 s, nearly all of it in g ** p.
-# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]; (43, 173) took 5 s.
+# each bound lets through and the first ones beyond it (cold CLI, median of
+# 3 runs, 2-vCPU VM, Python 3.11).  Each bound stops where pairs start to
+# take more than about 5 s:
+# - p: G = g_cyc ** p for f > 1 and the valuations of G grow with p;
+#   (421, 29) took 5.1 s and (631, 43) 5.0 s, and beyond the bound
+#   (757, 3) took 5.6 s, 3.4 s of it in g_cyc ** p.
+# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: the split
+#   (113, 227) took 3.7 s and the inert (13, 1013), whose walk visits
+#   1013^2 field elements, 5.1 s; beyond the bound, the split (131, 263)
+#   took 5.2 s and (173, 347) 24 s.
 # - q^f, the number of field elements the character walk visits; (41, 2)
-#   walks 2^20 of them in 21 s, (73, 3) 3^12 in 11 s.
-MAX_GAUSS_P = 200
-MAX_RING_ENTRIES = 10_000
+#   walks 2^20 of them in 19 s, (73, 3) 3^12 in 8 s.
+MAX_GAUSS_P = 700
+MAX_RING_ENTRIES = 30_000
 MAX_FIELD_ORDER = 2**20
 
 # Largest -p and --bound that `principality probe` accepts.  A candidate's

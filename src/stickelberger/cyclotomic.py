@@ -3,7 +3,10 @@ the verification suites run on: the lambda-adic one at the prime over p,
 and split-prime valuations over q realized through Hensel-lifted roots of
 the p-th cyclotomic polynomial.  Norms to Q use the same lifted roots: the
 norm is the product of the values at the p-1 roots of Phi_p modulo a
-power of the smallest prime ell = 1 (mod p).
+power of the smallest prime ell = 1 (mod p).  An element of Z[zeta_p]
+given as a power of an element of Z[zeta_pq] is read off its values at
+the roots of Phi_p modulo a power of the smallest prime ell = 1 (mod pq)
+(`zeta_p_power`).
 
 Elements are kept in the reduced power basis: zeta_p^0..zeta_p^(p-2),
 using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  All coefficients are
@@ -13,8 +16,8 @@ arbitrary-precision Python ints.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, neg, sub
+from itertools import accumulate, repeat
+from operator import add, mul, neg, sub
 
 from .arith import VerificationError, is_prime, primitive_root, signed_packed_mul
 
@@ -115,17 +118,24 @@ class CoeffVector:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
+    def __pow__(self, e, modulus=None):
+        """self^e by squaring.  With a modulus, as in Python's 3-argument
+        pow, every coefficient is reduced mod it after each product."""
         if e < 0:
             raise ValueError("only nonnegative exponents")
-        result = self._coerce(1)
-        base = self
-        while e:
+        if modulus is None:
+            reduce = lambda a: a
+        else:
+            reduce = lambda a: a._map(lambda c: c % modulus)
+        result = reduce(self._coerce(1))
+        base = reduce(self)
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = reduce(base * base)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -442,22 +452,30 @@ def ideal_valuation(a: CycInt, h: HenselRoot) -> int:
 # Norms by evaluation at the roots of Phi_p mod ell^k
 
 
+def _prime_power_above(n, bits):
+    """(ell, k): the smallest prime ell = 1 (mod n) and a k with
+    ell^k > 2^bits.  Since log2(ell) >= bit_length(ell) - 1, the k below
+    suffices."""
+    ell = n + 1
+    while not is_prime(ell):
+        ell += n
+    return ell, bits // (ell.bit_length() - 1) + 1
+
+
 @lru_cache(maxsize=16)
 def _root_powers(p, bits):
     """A power ell^k > 2^bits of the smallest prime ell = 1 (mod p), and the
-    powers r^0..r^(p-1) mod ell^k of a root r of Phi_p.  Since log2(ell) >=
-    bit_length(ell) - 1, the k below suffices.  The probe asks for one
-    table per L1 shell of its sweep, so the last few tables are kept."""
-    ell = 2 * p + 1
-    while not is_prime(ell):
-        ell += 2 * p
-    k = bits // (ell.bit_length() - 1) + 1
+    powers r^0..r^(p-1) mod ell^k of a root r of Phi_p.  The probe asks for
+    one table per L1 shell of its sweep, so the last few tables are kept."""
+    ell, k = _prime_power_above(p, bits)
     modulus = ell ** k
     r = _lift_root(p, ell, pow(primitive_root(ell), (ell - 1) // p, ell), k)
-    powers = [1]
-    for _ in range(p - 1):
-        powers.append(powers[-1] * r % modulus)
-    return modulus, tuple(powers)
+    return modulus, tuple(_power_table(r, p, modulus))
+
+
+def _power_table(r, n, modulus):
+    """[r^0, ..., r^(n-1)] mod modulus."""
+    return list(accumulate(repeat(r, n - 1), lambda a, b: a * b % modulus, initial=1))
 
 
 def root_values(p, vectors, bound):
@@ -476,6 +494,55 @@ def root_values(p, vectors, bound):
             [sum(c * powers[t * i % p] for i, c in terms) % modulus for t in range(1, p)]
         )
     return modulus, tables
+
+
+def pq_roots(p, q, bits):
+    """(ell^k, r_p, r_q): a power ell^k > 2^bits of the smallest prime
+    ell = 1 (mod pq), and roots r_p of Phi_p and r_q of Phi_q mod ell^k,
+    lifted from the powers of order p and q of a primitive root mod ell."""
+    ell, k = _prime_power_above(p * q, bits)
+    w = pow(primitive_root(ell), (ell - 1) // (p * q), ell)
+    r_p = _lift_root(p, ell, pow(w, q, ell), k)
+    r_q = _lift_root(q, ell, pow(w, p, ell), k)
+    return ell ** k, r_p, r_q
+
+
+def zeta_p_power(g: BiCycInt, e, modulus, r_p, r_q) -> CycInt:
+    """G = g^e as an element of Z[zeta_p], for a g in Z[zeta_pq] whose e-th
+    power lies in Z[zeta_p], from the values of G at the roots of Phi_p
+    modulo `modulus`, a power of a prime ell other than p (`pq_roots`).
+
+    zeta_p -> r_p^t, zeta_q -> r_q is a ring map to Z/modulus, so
+    G(r_p^t) = g(r_p^t, r_q)^e: one pass over the entries contracts the
+    zeta_q direction at r_q, and the p-1 values follow from the contracted
+    column.  G has no zeta^(p-1) term, so the inverse transform over the
+    p-th roots gives G(1) = -sum_t G(r_p^t) r_p^t, and then the p-1
+    coefficients.  Their symmetric residues are exact when `modulus` is
+    more than twice their absolute values: 4 (sum |g_ij|)^e suffices,
+    since every conjugate of G has absolute value at most (sum |g_ij|)^e.
+    Raises VerificationError unless Phi_p(r_p) = Phi_q(r_q) = 0 mod
+    `modulus`.
+    """
+    p, q = g.p, g.q
+    powers_p = _power_table(r_p, p, modulus)
+    powers_q = _power_table(r_q, q, modulus)
+    if sum(powers_p) % modulus or sum(powers_q) % modulus:
+        raise VerificationError(
+            f"no roots of Phi_{p} and Phi_{q} modulo the "
+            f"{modulus.bit_length()}-bit evaluation modulus"
+        )
+    column = [sum(map(mul, row, powers_q)) % modulus for row in g.coeffs]
+    values = [
+        pow(sum(c * powers_p[t * i % p] for i, c in enumerate(column)), e, modulus)
+        for t in range(1, p)
+    ]
+    values.insert(0, -sum(map(mul, values, powers_p[1:])) % modulus)
+    p_inverse = pow(p, -1, modulus)
+    coeffs = []
+    for i in range(p - 1):
+        c = sum(y * powers_p[-t * i % p] for t, y in enumerate(values)) * p_inverse % modulus
+        coeffs.append(c - modulus if 2 * c > modulus else c)
+    return CycInt(p, coeffs)
 
 
 def shift_norms(p, values, at_one, shifts, modulus):

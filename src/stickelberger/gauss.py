@@ -1,9 +1,15 @@
 """Gauss sums g(q) over the residue fields of Z[zeta_p], their p-th powers
-G = g^p, and machine verification of the structural facts they satisfy:
-g * conj(g) = q^f, collapse into Z[zeta_p] for f > 1, the resolvent form
-and its tau-twist exponent rho for split q, the ideal factorization of G
-through the Stickelberger element, and the sharp lambda-adic valuations of
-g^p + 1.
+G = g^p in Z[zeta_p], and machine verification of the structural facts
+they satisfy: g * conj(g) = q^f, collapse into Z[zeta_p] for f > 1, the
+resolvent form and its tau-twist exponent rho for split q, the ideal
+factorization of G through the Stickelberger element, and the sharp
+lambda-adic valuations of g^p + 1.
+
+G is never a power in Z[zeta_pq].  For split q, the exact tau(g) =
+zeta_p^rho g puts G in Z[zeta_p], and G comes from its values at the roots
+of Phi_p modulo a power of a prime ell = 1 (mod pq)
+(`cyclotomic.zeta_p_power`).  For f > 1, g itself lies in Z[zeta_p] and
+G is its power there.
 
 A record's `checks` dict holds hard verification results (all must be
 true); `flags` holds convention diagnostics that never fail a record.
@@ -23,11 +29,14 @@ from .arith import (
 from .cyclotomic import (
     BiCycInt,
     CycInt,
+    _valuation_bound,
     bi_lambda_valuation,
     hensel_roots,
     ideal_valuation,
     lambda_valuation,
     norm,
+    pq_roots,
+    zeta_p_power,
 )
 from .groupring import polynomial_S2
 
@@ -42,7 +51,7 @@ class GaussSumRecord:
     v: int
     g: BiCycInt
     g_cyc: CycInt | None  # collapse of g when f > 1
-    G: CycInt  # g^p, reduced into Z[zeta_p]
+    G: CycInt  # g^p in Z[zeta_p]: from its values mod ell^k, or g_cyc ** p
     rho: int | None  # tau-twist exponent, split case only
     valuation_profile: dict | None  # ideal label -> valuation of G
     checks: dict = field(default_factory=dict)
@@ -158,16 +167,37 @@ def _stickelberger_profile(G: CycInt, p, q):
     return profile, matches
 
 
+def _power_plus_one_valuation(G: CycInt, p):
+    """v(G^p + 1), exact, from G^p + 1 with coefficients reduced mod p^K.
+    p is a unit times lambda^(p-1), so the reduction moves the element by
+    a multiple of lambda^(K(p-1)), and a value below K(p-1) is exact.  K
+    starts at 3 and doubles; every conjugate of G^p + 1 has absolute value
+    at most (sum |G_i|)^p + 1, and a K past the norm bound that gives can
+    only mean a broken G."""
+    bound = _valuation_bound(p, [sum(map(abs, G.coeffs)) ** p + 1])
+    K = 3
+    while True:
+        v = lambda_valuation(pow(G, p, p ** K) + 1)
+        if v < K * (p - 1):
+            return v
+        if K * (p - 1) > bound:
+            raise VerificationError(
+                f"v(G^{p} + 1) exceeds its norm bound {bound} at p={p}"
+            )
+        K *= 2
+
+
 def pi_adic_profile(g: BiCycInt, G: CycInt, p, q) -> dict:
     """Exact lambda-adic valuations of g+1, G+1 and G^p+1, with the branch
     verdicts: v(G+1) = p exactly when p^((q-1)/p) is not a p-th power mod
     q, at least p+1 when it is; correspondingly 2p-1 exactly or at least 2p
-    for G^p + 1."""
+    for G^p + 1.  G is the record's G in Z[zeta_p], and G^p + 1 is taken
+    with coefficients mod p^K (`_power_plus_one_valuation`)."""
     if (q - 1) % p != 0:
         raise ValueError("pi-adic profile applies to split q only")
     v_g = bi_lambda_valuation(g + 1)
     v_G = lambda_valuation(G + 1)
-    v_Gp = lambda_valuation(G ** p + 1)
+    v_Gp = _power_plus_one_valuation(G, p)
     power_cond = pow(p, (q - 1) // p, q) == 1
     branch_ok = (v_G >= p + 1 and v_Gp >= 2 * p) if power_cond else (
         v_G == p and v_Gp == 2 * p - 1
@@ -195,27 +225,25 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
     conj_product = g * g.conj()
     checks["g_times_conj_equals_q_to_f"] = conj_product == q ** f
 
-    G_big = g ** p
-    if not G_big.in_zeta_p_subring():
-        raise VerificationError(
-            f"g^p did not collapse into Z[zeta_p] for (p, q)=({p}, {q}); "
-            "character or trace construction is broken"
-        )
-    G = G_big.to_cyc()
-    checks["G_in_zeta_p"] = True
-
     g_cyc = None
     rho = None
     profile = None
 
     if f == 1:
+        # tau(g) = zeta_p^rho g gives tau(g^p) = g^p, and tau generates
+        # Gal(Q(zeta_pq)/Q(zeta_p)), so G = g^p lies in Z[zeta_p]
+        rho = extract_rho(g)
+        checks["G_in_zeta_p"] = True
+        # exact above 4 (sum |g_ij|)^p, a bound that rests on no other check
+        size = 4 * sum(abs(c) for row in g.coeffs for c in row) ** p
+        G = zeta_p_power(g, p, *pq_roots(p, q, size.bit_length()))
+
         # the defining sum has no trace-zero term at all when q splits
         checks["zeta_q0_slice_zero"] = not any(row[0] for row in grid)
         # v(g + 1) is taken once, for this check and the flags below
         pi_profile = pi_adic_profile(g, G, p, q)
         checks["g_congruent_minus_one_mod_pi"] = pi_profile["v_g_plus_1"] >= 1
 
-        rho = extract_rho(g)
         checks["resolvent_matches_extracted_rho"] = resolvent_form(p, q, rho) == g
         minus_v = (-v) % p
         flags["rho_equals_minus_v_directly"] = rho == minus_v
@@ -242,12 +270,14 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         checks["pi_adic_branch_exact"] = pi_profile.pop("branch_exact")
         flags.update(pi_profile)
     else:
-        checks["g_in_zeta_p"] = g.in_zeta_p_subring()
-        if not checks["g_in_zeta_p"]:
+        if not g.in_zeta_p_subring():
             raise VerificationError(
                 f"f={f} > 1 but g kept a zeta_q part for (p, q)=({p}, {q})"
             )
         g_cyc = g.to_cyc()
+        G = g_cyc ** p
+        checks["G_in_zeta_p"] = True
+        checks["g_in_zeta_p"] = True
         s2 = polynomial_S2(p, q, v)
         checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g_cyc)) == q ** (
             f * s2.coefficient_sum()

@@ -67,6 +67,12 @@ def schoolbook_bicyc_mul(a: BiCycInt, b: BiCycInt) -> BiCycInt:
     return BiCycInt(p, q, [[col[i] for col in cols] for i in range(p - 1)])
 
 
+def power_in_zeta_pq(g: BiCycInt) -> CycInt:
+    """G = g^p by ring products in Z[zeta_pq], read off the zeta_q^0 column;
+    ValueError unless the power lies in Z[zeta_p]."""
+    return (g ** g.p).to_cyc()
+
+
 def four_term_grid(p, q, grid) -> BiCycInt:
     """A full p x q exponent grid in the basis, entry by entry: zeta_p^(p-1)
     and zeta_q^(q-1) each fold as minus the sum of the lower powers, so

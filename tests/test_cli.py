@@ -137,8 +137,8 @@ class TestExitCodes:
         [
             (47, 2, "residue field has 8388608 elements"),
             (101, 2, "residue field has"),
-            (47, 283, "(p-1)(q-1) = 12972"),
-            (257, 2, "-p must be at most"),
+            (131, 263, "(p-1)(q-1) = 34060"),
+            (757, 3, "-p must be at most"),
         ],
     )
     def test_oversized_gauss_pair_exits_2_without_a_field(
@@ -155,9 +155,10 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: ") and reason in err[0]
 
-    @pytest.mark.parametrize("pair", [(41, 2), (43, 173), (181, 19), (3, 7)])
+    @pytest.mark.parametrize("pair", [(41, 2), (13, 1013), (631, 43), (3, 7)])
     def test_gauss_pairs_at_the_bounds_are_accepted(self, pair):
         assert _gauss_size_error(*pair) is None
+        assert pair[0] <= LIMITS["gauss verify"]["-p"]
 
     @pytest.mark.parametrize(
         "argv, reason",

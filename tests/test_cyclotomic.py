@@ -120,6 +120,8 @@ class TestCoeffVector:
         assert a - a == 0 and (a - a).is_zero() and not a.is_zero()
         assert -a + a == 0 and 3 - a == -(a - 3) and 2 + a == a + 2
         assert a ** 0 == 1 and a ** 3 == a * a * a
+        assert pow(a, 5, 7) == (a ** 5)._map(lambda c: c % 7)
+        assert pow(a, 0, 7) == 1 and pow(a, 1, 3) == a._map(lambda c: c % 3)
         assert (a * 6).divexact(3) == a * 2
         assert hash(a + 0) == hash(a) and a + 0 == a
         with pytest.raises(ValueError):

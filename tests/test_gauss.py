@@ -2,8 +2,10 @@ import cmath
 import dataclasses
 import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stickelberger.arith import (
     VerificationError,
@@ -20,11 +22,17 @@ from stickelberger.cyclotomic import (
     CycInt,
     _reduce_exponents,
     bi_lambda_valuation,
+    lambda_element,
     lambda_valuation,
     norm,
+    pq_roots,
+    zeta_p_power,
 )
+from stickelberger import gauss
+from stickelberger.cli import SUITE_INERT_PAIRS, SUITE_SPLIT_PAIRS
 from stickelberger.gauss import (
     _character_grid,
+    _power_plus_one_valuation,
     _stickelberger_profile,
     _times_zeta_p,
     build_record,
@@ -34,7 +42,7 @@ from stickelberger.gauss import (
     resolvent_form,
 )
 from stickelberger.groupring import polynomial_S2
-from reference import ff_elements
+from reference import ff_elements, power_in_zeta_pq
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
 INERT_PAIRS = [(5, 3), (7, 2), (11, 3), (5, 7)]
@@ -354,3 +362,149 @@ def test_times_zeta_p_is_the_product(pair):
     rng = random.Random(p * q)
     b = BiCycInt(p, q, [[rng.randint(-99, 99) for _ in range(q - 1)] for _ in range(p - 1)])
     assert _times_zeta_p(b) == b * BiCycInt.from_cyc(CycInt.zeta(p), q)
+
+
+# the pairs whose `gauss verify` stdout is pinned by sha256 in test_cli.py
+PINNED_PAIRS = [(17, 103), (13, 2), (19, 191), (43, 2)]
+# every pair with p < 14, q < 60, at most 600 entries in Z[zeta_pq] and at
+# most 5000 field elements
+SMALL_PAIRS = [
+    (p, q)
+    for p in (3, 5, 7, 11, 13)
+    for q in range(2, 60)
+    if is_prime(q)
+    and q != p
+    and (p - 1) * (q - 1) <= 600
+    and q ** multiplicative_order(q, p) <= 5000
+]
+SMALL_SPLIT_PAIRS = [(p, q) for p, q in SMALL_PAIRS if q % p == 1]
+
+
+@lru_cache(maxsize=None)
+def cached_record(p, q):
+    return build_record(p, q)
+
+
+class TestGFromValues:
+    """G = g^p from its values at the roots of Phi_p mod ell^k (split q) or
+    as a power in Z[zeta_p] (f > 1), against the power in Z[zeta_pq]."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        sorted(
+            set(SPLIT_PAIRS + INERT_PAIRS + PINNED_PAIRS)
+            | set(SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS)
+        ),
+    )
+    def test_equals_the_power_in_zeta_pq(self, pair):
+        record = cached_record(*pair)
+        assert record.G == power_in_zeta_pq(record.g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair=st.sampled_from(SMALL_PAIRS))
+    def test_equals_the_power_in_zeta_pq_on_small_pairs(self, pair):
+        record = cached_record(*pair)
+        assert record.G == power_in_zeta_pq(record.g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_root_of_phi_q_gives_G(self, data):
+        # G lies in Z[zeta_p], so it does not see which root stands for
+        # zeta_q; and the values at the powers of r_p^s are interpolated
+        # over the same powers, so every root of Phi_p gives G as well
+        p, q = data.draw(st.sampled_from(SMALL_SPLIT_PAIRS))
+        u = data.draw(st.integers(1, q - 1))
+        s = data.draw(st.integers(1, p - 1))
+        record = cached_record(p, q)
+        bound = 4 * sum(abs(c) for row in record.g.coeffs for c in row) ** p
+        modulus, r_p, r_q = pq_roots(p, q, bound.bit_length())
+        G = zeta_p_power(record.g, p, modulus, r_p, pow(r_q, u, modulus))
+        assert G == zeta_p_power(record.g, p, modulus, r_p, r_q) == record.G
+        assert zeta_p_power(record.g, p, modulus, pow(r_p, s, modulus), r_q) == G
+
+    @pytest.mark.parametrize("pair", [(5, 11), (7, 29), (17, 103)])
+    def test_exact_exactly_above_twice_the_largest_coefficient(self, pair):
+        p, q = pair
+        record = cached_record(p, q)
+        largest = max(map(abs, record.G.coeffs))
+        exact = []
+        for bits in range(0, 2 * largest.bit_length() + 2):
+            modulus, r_p, r_q = pq_roots(p, q, bits)
+            G = zeta_p_power(record.g, p, modulus, r_p, r_q)
+            assert (G == record.G) == (modulus > 2 * largest), modulus
+            exact.append(G == record.G)
+        assert not exact[0] and exact[-1]
+
+    def test_modulus_below_the_bound_fails_the_record(self, monkeypatch):
+        real = gauss.pq_roots
+        monkeypatch.setattr(gauss, "pq_roots", lambda p, q, bits: real(p, q, 8))
+        record = build_record(17, 103)
+        assert record.G != power_in_zeta_pq(record.g)
+        assert not record.ok
+
+    def test_perturbed_grid_fails_the_rho_check_before_G(self, monkeypatch):
+        real = gauss._character_grid
+
+        def perturbed(fd):
+            grid = real(fd)
+            grid[1][1] += 1
+            grid[1][2] -= 1
+            return grid
+
+        def refuse(*args):
+            raise RuntimeError("G built")
+
+        monkeypatch.setattr(gauss, "_character_grid", perturbed)
+        monkeypatch.setattr(gauss, "zeta_p_power", refuse)
+        with pytest.raises(VerificationError, match="no rho found"):
+            build_record(5, 11)
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            lambda r_p, r_q, ell, m: (r_p * r_q % m, r_q),  # order pq
+            lambda r_p, r_q, ell, m: (r_q, r_q),  # order q
+            lambda r_p, r_q, ell, m: (1, r_q),  # order 1
+            lambda r_p, r_q, ell, m: (r_p, r_p),  # order p for zeta_q
+            lambda r_p, r_q, ell, m: (r_p % ell, r_q),  # a root mod ell only
+        ],
+    )
+    def test_a_root_of_the_wrong_order_raises(self, roots):
+        p, q = 5, 11
+        g = cached_record(p, q).g
+        modulus, r_p, r_q = pq_roots(p, q, 200)
+        ell = next(n for n in range(p * q + 1, modulus, p * q) if is_prime(n))
+        with pytest.raises(VerificationError, match="no roots of Phi"):
+            zeta_p_power(g, p, modulus, *roots(r_p, r_q, ell, modulus))
+
+
+class TestPowerPlusOneValuation:
+    """v(G^p + 1) from G^p + 1 reduced mod p^K, against the exact power."""
+
+    @pytest.mark.parametrize("pair", SPLIT_PAIRS + [(3, 61), (17, 103)])
+    def test_equals_the_valuation_of_the_exact_power(self, pair):
+        record = cached_record(*pair)
+        G, p = record.G, record.p
+        exact = lambda_valuation(G ** p + 1)
+        assert _power_plus_one_valuation(G, p) == exact
+        assert record.flags["v_Gp_plus_1"] == exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_near_minus_one(self, data):
+        # a = -1 + lambda^k b puts v(a^p + 1) anywhere up to several K(p-1)
+        p = data.draw(st.sampled_from([3, 5, 7, 11]))
+        k = data.draw(st.integers(0, 60))
+        b = CycInt(p, data.draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
+        a = lambda_element(p) ** k * b - 1
+        expected = lambda_valuation(a ** p + 1)
+        if expected == float("inf"):
+            with pytest.raises(VerificationError, match="norm bound"):
+                _power_plus_one_valuation(a, p)
+        else:
+            assert _power_plus_one_valuation(a, p) == expected
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_minus_one_exceeds_the_norm_bound(self, p):
+        with pytest.raises(VerificationError, match="norm bound"):
+            _power_plus_one_valuation(CycInt.from_int(p, -1), p)
