@@ -20,7 +20,6 @@ from .arith import (
 from .cyclotomic import (
     BiCycInt,
     CycInt,
-    HenselRoot,
     galois_apply,
     hensel_roots,
     ideal_valuation,

@@ -1,12 +1,14 @@
 """Exact arithmetic in Z[zeta_p] and Z[zeta_pq], plus the two valuations
 the verification suites run on: the lambda-adic one at the prime over p,
-and split-prime valuations over q realized through Hensel-lifted roots of
-the p-th cyclotomic polynomial.  Norms to Q use the same lifted roots: the
-norm is the product of the values at the p-1 roots of Phi_p modulo a
-power of the smallest prime ell = 1 (mod p).  An element of Z[zeta_p]
-given as a power of an element of Z[zeta_pq] is read off its values at
-the roots of Phi_p modulo a power of the smallest prime ell = 1 (mod pq)
-(`zeta_p_power`).
+and the valuations at the p-1 primes over a split q.
+
+Three jobs read an element off its values at the roots of Phi_p modulo a
+prime power ell^k, and all three take their roots from one table,
+`hensel_roots`: the powers of the Newton lift of the smallest root of
+Phi_n mod ell.  Split valuations use ell = q (`ideal_valuation`), norms
+to Q the smallest prime ell = 1 (mod p) (`root_values`, `norm`), and an
+element of Z[zeta_p] given as a power of an element of Z[zeta_pq] the
+smallest prime ell = 1 (mod pq) (`zeta_p_power`).
 
 Elements are kept in the reduced power basis: zeta_p^0..zeta_p^(p-2),
 using zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).  All coefficients are
@@ -14,7 +16,6 @@ arbitrary-precision Python ints.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
@@ -165,23 +166,8 @@ class CycInt(CoeffVector):
     def _fold(self, conv):
         return CycInt(self.p, _reduce_exponents(self.p, conv))
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not a rational integer")
-        return self.coeffs[0]
-
     def conj(self):
         return galois_apply(self.p - 1, self)
-
-    def evaluate_mod(self, x, modulus):
-        """Value of the coefficient polynomial at zeta = x, mod `modulus`."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % modulus
-        return acc
 
     def to_json_obj(self):
         return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
@@ -361,20 +347,7 @@ def bi_lambda_valuation(a: BiCycInt):
 
 
 # ---------------------------------------------------------------------------
-# Degree-1 primes over q via Hensel-lifted roots of Phi_p
-
-
-@dataclass(frozen=True)
-class HenselRoot:
-    """A root of Phi_p modulo q^precision, labelling the prime ideal
-    (q, zeta_p - root).  `label` = t is the discrete log of the root with
-    respect to the smallest mod-q root, fixing the conjugate dictionary."""
-
-    p: int
-    q: int
-    precision: int
-    root: int
-    label: int
+# Roots of unity mod ell^k: norms, split valuations and G by evaluation
 
 
 def _lift_root(p, q, r, precision):
@@ -396,60 +369,34 @@ def _lift_root(p, q, r, precision):
     return r
 
 
-def hensel_roots(p, q):
-    """All p-1 roots of Phi_p mod q^(2p+4) for a totally split q
-    (q = 1 mod p), labelled by discrete log base the smallest root;
-    `ideal_valuation` lifts them further when it needs to."""
-    if not is_prime(p) or not is_prime(q) or p == q:
-        raise ValueError("p and q must be distinct primes")
-    if (q - 1) % p != 0:
-        raise ValueError(f"q={q} is not 1 mod p={p}: no degree-1 splitting")
-    # enough for the valuations of G, at most p-1, without a second lift
-    precision = 2 * p + 4
-    modulus = q ** precision
-    base = pow(primitive_root(q), (q - 1) // p, q)
-    # the lift of a power is the power of the lift, since lifts are unique
-    lifted = _lift_root(p, q, min(pow(base, t, q) for t in range(1, p)), precision)
-    return [
-        HenselRoot(p=p, q=q, precision=precision, root=pow(lifted, t, modulus), label=t)
-        for t in range(1, p)
-    ]
+@lru_cache(maxsize=16)
+def hensel_roots(n, ell, k):
+    """(ell^k, (r^0, ..., r^(n-1)) mod ell^k) for primes n and ell = 1
+    (mod n), where r is the Newton lift of the smallest root of Phi_n
+    mod ell.  The lift of a power is the power of the lift, since lifts are
+    unique, so r^t is the root that lifts the t-th power of the smallest.
+    The probe asks for one table per L1 shell of its sweep, so the last
+    few tables are kept."""
+    if not is_prime(n) or (ell - 1) % n:
+        raise ValueError(f"{ell} is not 1 mod the prime {n}: no split roots")
+    modulus = ell ** k
+    base = pow(primitive_root(ell), (ell - 1) // n, ell)
+    smallest = min(_power_table(base, n, ell)[1:])
+    return modulus, tuple(_power_table(_lift_root(n, ell, smallest, k), n, modulus))
 
 
-def ideal_valuation(a: CycInt, h: HenselRoot) -> int:
-    """Exact valuation of a at the degree-1 prime ideal labelled by h.
-
-    The ideal's completion sends zeta_p to the q-adic root that h.root
-    approximates, so the value of a at the root mod q^n, when nonzero, has
-    the valuation of a.  A zero value sends the root to twice the
-    precision; a zero value past the norm bound of a can only mean a
-    broken lift.
-    """
-    if a.is_zero():
-        raise ValueError("valuation of 0 requested")
-    if a.p != h.p:
-        raise ValueError("mismatched p")
-    p, q = h.p, h.q
-    bound = _valuation_bound(p, a.coeffs)
-    precision, root = h.precision, h.root
-    while True:
-        y = a.evaluate_mod(root, q ** precision)
-        if y:
-            v = 0
-            while y % q == 0:
-                y //= q
-                v += 1
-            return v
-        if precision > bound:
-            raise VerificationError(
-                f"valuation at q={q} exceeds its norm bound {bound}"
-            )
-        precision *= 2
-        root = _lift_root(p, q, root, precision)
+def _power_table(r, n, modulus):
+    """[r^0, ..., r^(n-1)] mod modulus."""
+    return list(accumulate(repeat(r, n - 1), lambda a, b: a * b % modulus, initial=1))
 
 
-# ---------------------------------------------------------------------------
-# Norms by evaluation at the roots of Phi_p mod ell^k
+def _values_at_roots(coeffs, powers, modulus):
+    """[b(r^t) mod modulus for t = 1..n-1]: the values of the polynomial
+    with these coefficients (at most n of them) at the roots r^t, from
+    the table `powers` = r^0..r^(n-1) of `hensel_roots`."""
+    n = len(powers)
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    return [sum(c * powers[t * i % n] for i, c in terms) % modulus for t in range(1, n)]
 
 
 def _prime_power_above(n, bits):
@@ -462,20 +409,40 @@ def _prime_power_above(n, bits):
     return ell, bits // (ell.bit_length() - 1) + 1
 
 
-@lru_cache(maxsize=16)
-def _root_powers(p, bits):
-    """A power ell^k > 2^bits of the smallest prime ell = 1 (mod p), and the
-    powers r^0..r^(p-1) mod ell^k of a root r of Phi_p.  The probe asks for
-    one table per L1 shell of its sweep, so the last few tables are kept."""
-    ell, k = _prime_power_above(p, bits)
-    modulus = ell ** k
-    r = _lift_root(p, ell, pow(primitive_root(ell), (ell - 1) // p, ell), k)
-    return modulus, tuple(_power_table(r, p, modulus))
+def ideal_valuation(a: CycInt, q) -> dict:
+    """{t: v_P(a)}: the exact valuations of a at the p-1 degree-1 primes
+    P = (q, zeta_p - r^t) over a split q, with r the lift of the smallest
+    root of Phi_p mod q (`hensel_roots`).
 
-
-def _power_table(r, n, modulus):
-    """[r^0, ..., r^(n-1)] mod modulus."""
-    return list(accumulate(repeat(r, n - 1), lambda a, b: a * b % modulus, initial=1))
+    The completion at P sends zeta_p to the q-adic root that r^t
+    approximates, so the value a(r^t) mod q^n, when nonzero, has the
+    valuation of a.  The first table, mod q^(2p+4), gives the valuations
+    of G, at most p-1, in one pass; a zero value sends the table to twice
+    the precision, and a zero value past the norm bound of a can only mean
+    a broken lift.
+    """
+    if a.is_zero():
+        raise ValueError("valuation of 0 requested")
+    p = a.p
+    bound = _valuation_bound(p, a.coeffs)
+    precision = 2 * p + 4
+    valuations = {}
+    while True:
+        modulus, powers = hensel_roots(p, q, precision)
+        for t, y in enumerate(_values_at_roots(a.coeffs, powers, modulus), 1):
+            if y and t not in valuations:
+                v = 0
+                while y % q == 0:
+                    y //= q
+                    v += 1
+                valuations[t] = v
+        if len(valuations) == p - 1:
+            return dict(sorted(valuations.items()))
+        if precision > bound:
+            raise VerificationError(
+                f"valuation at q={q} exceeds its norm bound {bound}"
+            )
+        precision *= 2
 
 
 def root_values(p, vectors, bound):
@@ -486,61 +453,46 @@ def root_values(p, vectors, bound):
     conjugates all have absolute value at most `bound`, such as
     sum |a_i| <= bound, so the symmetric residue of the product of the
     values of a is N(a)."""
-    modulus, powers = _root_powers(p, (p - 1) * bound.bit_length() + 1)
-    tables = []
-    for b in vectors:
-        terms = [(i, c) for i, c in enumerate(b) if c]
-        tables.append(
-            [sum(c * powers[t * i % p] for i, c in terms) % modulus for t in range(1, p)]
-        )
-    return modulus, tables
+    ell, k = _prime_power_above(p, (p - 1) * bound.bit_length() + 1)
+    modulus, powers = hensel_roots(p, ell, k)
+    return modulus, [_values_at_roots(b, powers, modulus) for b in vectors]
 
 
-def pq_roots(p, q, bits):
-    """(ell^k, r_p, r_q): a power ell^k > 2^bits of the smallest prime
-    ell = 1 (mod pq), and roots r_p of Phi_p and r_q of Phi_q mod ell^k,
-    lifted from the powers of order p and q of a primitive root mod ell."""
-    ell, k = _prime_power_above(p * q, bits)
-    w = pow(primitive_root(ell), (ell - 1) // (p * q), ell)
-    r_p = _lift_root(p, ell, pow(w, q, ell), k)
-    r_q = _lift_root(q, ell, pow(w, p, ell), k)
-    return ell ** k, r_p, r_q
-
-
-def zeta_p_power(g: BiCycInt, e, modulus, r_p, r_q) -> CycInt:
+def zeta_p_power(g: BiCycInt, e, bits) -> CycInt:
     """G = g^e as an element of Z[zeta_p], for a g in Z[zeta_pq] whose e-th
     power lies in Z[zeta_p], from the values of G at the roots of Phi_p
-    modulo `modulus`, a power of a prime ell other than p (`pq_roots`).
+    modulo a power ell^k > 2^bits of the smallest prime ell = 1 (mod pq).
 
-    zeta_p -> r_p^t, zeta_q -> r_q is a ring map to Z/modulus, so
+    zeta_p -> r_p^t, zeta_q -> r_q is a ring map to Z/ell^k for roots r_p
+    of Phi_p and r_q of Phi_q mod ell^k (`hensel_roots`), so
     G(r_p^t) = g(r_p^t, r_q)^e: one pass over the entries contracts the
     zeta_q direction at r_q, and the p-1 values follow from the contracted
     column.  G has no zeta^(p-1) term, so the inverse transform over the
-    p-th roots gives G(1) = -sum_t G(r_p^t) r_p^t, and then the p-1
-    coefficients.  Their symmetric residues are exact when `modulus` is
-    more than twice their absolute values: 4 (sum |g_ij|)^e suffices,
-    since every conjugate of G has absolute value at most (sum |g_ij|)^e.
-    Raises VerificationError unless Phi_p(r_p) = Phi_q(r_q) = 0 mod
-    `modulus`.
+    p-th roots gives G(1) = -sum_t G(r_p^t) r_p^t, and then coefficient i
+    = (1/p) sum_t G(r_p^t) r_p^(-ti), t = 0..p-1.  Their symmetric
+    residues are exact when ell^k is more than twice their absolute
+    values: 4 (sum |g_ij|)^e suffices, since every conjugate of G has
+    absolute value at most (sum |g_ij|)^e.  Raises VerificationError
+    unless Phi_p(r_p) = Phi_q(r_q) = 0 mod ell^k.
     """
     p, q = g.p, g.q
-    powers_p = _power_table(r_p, p, modulus)
-    powers_q = _power_table(r_q, q, modulus)
+    ell, k = _prime_power_above(p * q, bits)
+    modulus, powers_p = hensel_roots(p, ell, k)
+    _, powers_q = hensel_roots(q, ell, k)
     if sum(powers_p) % modulus or sum(powers_q) % modulus:
         raise VerificationError(
             f"no roots of Phi_{p} and Phi_{q} modulo the "
             f"{modulus.bit_length()}-bit evaluation modulus"
         )
     column = [sum(map(mul, row, powers_q)) % modulus for row in g.coeffs]
-    values = [
-        pow(sum(c * powers_p[t * i % p] for i, c in enumerate(column)), e, modulus)
-        for t in range(1, p)
-    ]
+    values = [pow(y, e, modulus) for y in _values_at_roots(column, powers_p, modulus)]
     values.insert(0, -sum(map(mul, values, powers_p[1:])) % modulus)
+    # the transform at r_p^s for s = 0, p-1, p-2, ..., 2 gives i = 0..p-2
+    transform = _values_at_roots(values, powers_p, modulus)
     p_inverse = pow(p, -1, modulus)
     coeffs = []
-    for i in range(p - 1):
-        c = sum(y * powers_p[-t * i % p] for t, y in enumerate(values)) * p_inverse % modulus
+    for c in [sum(values)] + transform[:0:-1]:
+        c = c * p_inverse % modulus
         coeffs.append(c - modulus if 2 * c > modulus else c)
     return CycInt(p, coeffs)
 
@@ -571,26 +523,15 @@ def shift_norms(p, values, at_one, shifts, modulus):
     return norms
 
 
-def translate_norms(b: CycInt, shifts) -> list:
-    """[N(b + s) for s in shifts], for integer shifts s.
+def norm(a: CycInt) -> int:
+    """The norm of a to Q, a rational integer; ValueError for 0.
 
     N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
-    at the roots r^t of Phi_p, so one evaluation of b at those roots serves
-    every shift (`shift_norms`).  Every conjugate of b + s has absolute
-    value at most sum |b_i| + max |s|, which sizes the modulus.
-    A rational b needs no roots: N(b_0 + s) = (b_0 + s)^(p-1).
+    at the roots r^t of Phi_p (`shift_norms` with the one shift 0).  Every
+    conjugate of a has absolute value at most sum |a_i|, which sizes the
+    modulus.
     """
-    p = b.p
-    if b.is_rational():
-        values = [b.coeffs[0] + s for s in shifts]
-        if 0 in values:
-            raise ValueError("norm of 0 is degenerate")
-        return [v ** (p - 1) for v in values]
-    bound = sum(map(abs, b.coeffs)) + max(map(abs, shifts))
-    modulus, (values,) = root_values(p, [b.coeffs], bound)
-    return shift_norms(p, values, sum(b.coeffs), shifts, modulus)
-
-
-def norm(a: CycInt) -> int:
-    """The norm of a to Q, a rational integer; ValueError for 0."""
-    return translate_norms(a, (0,))[0]
+    if a.is_zero():
+        raise ValueError("norm of 0 is degenerate")
+    modulus, (values,) = root_values(a.p, [a.coeffs], sum(map(abs, a.coeffs)))
+    return shift_norms(a.p, values, sum(a.coeffs), (0,), modulus)[0]

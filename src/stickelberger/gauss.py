@@ -35,7 +35,6 @@ from .cyclotomic import (
     ideal_valuation,
     lambda_valuation,
     norm,
-    pq_roots,
     zeta_p_power,
 )
 from .groupring import polynomial_S2
@@ -155,15 +154,16 @@ def _times_zeta_p(b: BiCycInt) -> BiCycInt:
 
 
 def _stickelberger_profile(G: CycInt, p, q):
-    """Valuations of G at the p-1 Hensel-labelled ideals, the unique root
-    that orders them as the S coefficients, and the relabel exponent."""
-    roots = hensel_roots(p, q)
-    by_residue = {h.root % q: ideal_valuation(G, h) for h in roots}
-    matches = []
-    for x in by_residue:
-        if all(by_residue[pow(x, t, q)] == t for t in range(1, p)):
-            matches.append(x)
-    profile = {h.label: by_residue[h.root % q] for h in roots}
+    """Valuations of G at the p-1 labelled ideals (q, zeta_p - r^t), and the
+    roots r^s mod q that order them as the S coefficients: label s matches
+    when the valuation at label s*t mod p is t for every t."""
+    profile = ideal_valuation(G, q)
+    _, residues = hensel_roots(p, q, 1)
+    matches = [
+        residues[s]
+        for s in profile
+        if all(profile[s * t % p] == t for t in range(1, p))
+    ]
     return profile, matches
 
 
@@ -236,7 +236,7 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         checks["G_in_zeta_p"] = True
         # exact above 4 (sum |g_ij|)^p, a bound that rests on no other check
         size = 4 * sum(abs(c) for row in g.coeffs for c in row) ** p
-        G = zeta_p_power(g, p, *pq_roots(p, q, size.bit_length()))
+        G = zeta_p_power(g, p, size.bit_length())
 
         # the defining sum has no trace-zero term at all when q splits
         checks["zeta_q0_slice_zero"] = not any(row[0] for row in grid)
@@ -288,7 +288,11 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.
         checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g_cyc + 1) >= 1
-        checks["G_plus_one_above_split_floor"] = lambda_valuation(G + 1) >= p + 1
+        # p^2 is a unit times lambda^(2p-2) and 2p-2 >= p+1, so G with its
+        # coefficients mod p^2 answers the same
+        checks["G_plus_one_above_split_floor"] = (
+            lambda_valuation(pow(G, 1, p * p) + 1) >= p + 1
+        )
         if f % 2 == 0:
             checks["g_is_unit_times_q_half_f"] = _is_unit_times_power(g_cyc, q, f)
 

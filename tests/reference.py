@@ -111,7 +111,9 @@ def conjugate_product_norm(a: CycInt) -> int:
     acc = a
     for t in range(2, a.p):
         acc = acc * galois_apply(t, a)
-    return acc.rational_value()
+    if any(acc.coeffs[1:]):
+        raise ValueError(f"{acc!r} is not a rational integer")
+    return acc.coeffs[0]
 
 
 def is_prime_first_bases(n):

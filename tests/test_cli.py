@@ -288,6 +288,9 @@ GAUSS_VERIFY_SHA256 = {
     (13, 2): "aa6d84f19ec1c507512c7a6c10c4b084ad7c18d2681d67ff3553f3c7d51f3d3a",
     (19, 191): "73c8eae19ef3f114c31194548024fe1c36c1520f1ae9b57e08e597e6cfb48d34",
     (43, 2): "89c31247733aaba4cc7030eb96d9acb1359a87ea60452814787b9e4fe50dc3fb",
+    # 60 labels, two-digit ones among them: pins the label rule and the
+    # order of the relabel matches
+    (61, 367): "4712d71c26303855ddad7ffffc104526206eded39e800905c5fe05909922dcee",
 }
 
 
@@ -364,7 +367,7 @@ def test_walk_check_survives_optimized_mode():
     "sabotage",
     [
         # a modulus ell^1 = 29, far below the norms of the probe
-        "real = cy._root_powers\ncy._root_powers = lambda p, bits: real(p, 1)\n",
+        "real = cy.hensel_roots\ncy.hensel_roots = lambda n, ell, k: real(n, ell, 1)\n",
         # a root of Phi_7 mod 29 only, never lifted to 29^k
         "cy._lift_root = lambda p, q, r, precision: r\n",
     ],

@@ -26,7 +26,6 @@ from stickelberger.cyclotomic import (
     lambda_element,
     lambda_valuation,
     norm,
-    translate_norms,
     _lambda_quotient,
     _lift_root,
 )
@@ -374,9 +373,9 @@ def norm_operand(draw):
 @pytest.fixture
 def fresh_root_tables():
     """Clears the cached root tables around a test that sabotages them."""
-    cyclotomic._root_powers.cache_clear()
+    cyclotomic.hensel_roots.cache_clear()
     yield
-    cyclotomic._root_powers.cache_clear()
+    cyclotomic.hensel_roots.cache_clear()
 
 
 class TestNormByEvaluation:
@@ -391,16 +390,13 @@ class TestNormByEvaluation:
     @settings(max_examples=30, deadline=None)
     @given(norm_operand(), st.lists(st.integers(-70, 70), min_size=1, max_size=8))
     def test_translates_match_conjugate_products(self, b, shifts):
-        if b.is_rational():
-            shifts = [s for s in shifts if b.coeffs[0] + s]
-            if not shifts:
-                return
+        shifts = [s for s in shifts if not (b + s).is_zero()]
         expected = [conjugate_product_norm(b + s) for s in shifts]
-        assert translate_norms(b, shifts) == expected
+        assert [norm(b + s) for s in shifts] == expected
 
     def test_every_small_element_at_p3(self):
         # ell = 7, the smallest modulus the norm ever uses
-        assert cyclotomic._root_powers(3, 1)[0] == 7
+        assert cyclotomic._prime_power_above(3, 1) == (7, 1)
         for c0 in range(-9, 10):
             for c1 in range(-9, 10):
                 a = CycInt(3, (c0, c1))
@@ -410,13 +406,15 @@ class TestNormByEvaluation:
 
     @pytest.mark.parametrize("p", PRIMES_TO_60)
     def test_smallest_prime_and_root_powers(self, p):
-        ell, powers = cyclotomic._root_powers(p, 1)
-        assert is_prime(ell) and ell % p == 1
+        ell, k = cyclotomic._prime_power_above(p, 1)
+        assert k == 1 and is_prime(ell) and ell % p == 1
         assert not any(is_prime(m) for m in range(p + 1, ell, p))
+        modulus, powers = hensel_roots(p, ell, 1)
         r = powers[1]
-        assert r != 1 and pow(r, p, ell) == 1
+        assert modulus == ell and r != 1 and pow(r, p, ell) == 1
         assert powers == tuple(pow(r, j, ell) for j in range(p))
-        modulus, lifted = cyclotomic._root_powers(p, 200)
+        assert r == min(x for x in range(2, ell) if pow(x, p, ell) == 1)
+        modulus, lifted = hensel_roots(p, *cyclotomic._prime_power_above(p, 200))
         assert modulus > 2**200 and modulus % ell == 0
         assert lifted[1] % ell == r and pow(lifted[1], p, modulus) == 1
 
@@ -428,14 +426,14 @@ class TestNormByEvaluation:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            translate_norms(CycInt.from_int(7, 3), (1, -3))
+            norm(CycInt.from_int(7, 3) - 3)
         with pytest.raises(ValueError):
-            translate_norms(CycInt.from_int(7, 0), (0,))
+            norm(CycInt.from_int(7, 0))
 
     def test_small_modulus_fails_the_congruence_check(self, monkeypatch):
         # the norm 291943 does not fit below ell = 29
-        real = cyclotomic._root_powers
-        monkeypatch.setattr(cyclotomic, "_root_powers", lambda p, bits: real(p, 1))
+        real = cyclotomic.hensel_roots
+        monkeypatch.setattr(cyclotomic, "hensel_roots", lambda n, ell, k: real(n, ell, 1))
         a = CycInt(7, (3, 1, 4, 1, 5, 9))
         with pytest.raises(VerificationError, match="not a\\(1\\)"):
             norm(a)
@@ -452,35 +450,48 @@ class TestNormByEvaluation:
 
 class TestHensel:
     def test_frozen_example_3_7(self):
-        roots = hensel_roots(3, 7)
-        assert sorted(h.root % 49 for h in roots) == [18, 30]
+        modulus, powers = hensel_roots(3, 7, 2)
+        assert modulus == 49 and sorted(powers[1:]) == [18, 30]
 
     def test_count_and_defining_property(self):
         for (p, q) in [(3, 7), (5, 11), (7, 29), (11, 23)]:
-            roots = hensel_roots(p, q)
-            assert len(roots) == p - 1
-            assert sorted(h.label for h in roots) == list(range(1, p))
-            for h in roots:
-                m = q ** h.precision
-                phi = sum(pow(h.root, i, m) for i in range(p)) % m
-                assert phi == 0
+            modulus, powers = hensel_roots(p, q, 2 * p + 4)
+            assert modulus == q ** (2 * p + 4) and len(powers) == p
+            assert powers[0] == 1 and len({r % q for r in powers[1:]}) == p - 1
+            for r in powers[1:]:
+                assert sum(pow(r, i, modulus) for i in range(p)) % modulus == 0
 
     def test_rejects_non_split(self):
         with pytest.raises(ValueError):
-            hensel_roots(5, 3)
+            hensel_roots(5, 3, 1)
+        with pytest.raises(ValueError):
+            ideal_valuation(CycInt.from_int(5, 2), 3)
 
     def test_powers_of_one_lift_equal_the_lift_of_every_root(self):
         for p in PRIMES_TO_60:
             for q in range(2 * p + 1, 400, 2 * p):
                 if is_prime(q):
-                    roots = [(h.label, h.root) for h in hensel_roots(p, q)]
+                    _, powers = hensel_roots(p, q, 2 * p + 4)
+                    roots = list(enumerate(powers))[1:]
                     assert roots == hensel_roots_by_lifts(p, q), (p, q)
 
     def test_label_dictionary(self):
-        roots = hensel_roots(5, 11)
-        reference = min(h.root % 11 for h in roots)
-        for h in roots:
-            assert pow(reference, h.label, 11) == h.root % 11
+        # label t is the root that lifts the t-th power of the smallest
+        # root mod q
+        _, powers = hensel_roots(5, 11, 14)
+        smallest = min(x for x in range(2, 11) if pow(x, 5, 11) == 1)
+        assert [r % 11 for r in powers] == [pow(smallest, t, 11) for t in range(5)]
+
+    @pytest.mark.parametrize("p, q", [(3, 7), (5, 11), (7, 29), (17, 103)])
+    def test_phi_q_table_mod_a_prime_above_pq(self, p, q):
+        # the table of zeta_p_power for zeta_q: roots of Phi_q mod ell^k,
+        # ell = 1 (mod pq)
+        ell, k = cyclotomic._prime_power_above(p * q, 300)
+        assert is_prime(ell) and ell % (p * q) == 1
+        modulus, powers = hensel_roots(q, ell, k)
+        assert modulus == ell**k > 2**300 and len(set(powers)) == q
+        for r in powers[1:]:
+            assert sum(pow(r, i, modulus) for i in range(q)) % modulus == 0
 
     def test_newton_lift_agrees_with_exhaustive_search(self):
         # all roots of Phi_3 mod 7^2 by brute force
@@ -519,17 +530,15 @@ class TestHensel:
 class TestIdealValuation:
     def test_rational_q_has_valuation_one_everywhere(self):
         for (p, q) in [(3, 7), (5, 11)]:
-            for h in hensel_roots(p, q):
-                assert ideal_valuation(CycInt.from_int(p, q), h) == 1
+            valuations = ideal_valuation(CycInt.from_int(p, q), q)
+            assert list(valuations.items()) == [(t, 1) for t in range(1, p)]
 
     def test_unit_example(self):
-        h = hensel_roots(5, 11)[0]
-        assert ideal_valuation(CycInt.from_int(5, 3), h) == 0
+        assert ideal_valuation(CycInt.from_int(5, 3), 11) == dict.fromkeys(range(1, 5), 0)
 
     def test_valuation_sum_equals_norm_valuation(self):
         rng = random.Random(31)
         for (p, q) in [(3, 7), (5, 11)]:
-            roots = hensel_roots(p, q)
             for trial in range(15):
                 a = random_cyc(rng, p, 40)
                 if a.is_zero():
@@ -541,39 +550,39 @@ class TestIdealValuation:
                 while n % q == 0:
                     n //= q
                     vq += 1
-                assert sum(ideal_valuation(a, h) for h in roots) == vq
+                assert sum(ideal_valuation(a, q).values()) == vq
 
     def test_precision_retry_and_exhaustion(self, monkeypatch):
-        h = hensel_roots(3, 7)[0]
-        # lambda-free element with valuation >= 39 at one ideal, far above
-        # the precision of h, so the root is lifted again
-        lifted_root = _lift_root(3, 7, h.root, 80)
+        # lambda-free element with valuation >= 39 at the prime of label 1,
+        # far above the first precision 2p+4 = 10, so the table is lifted
+        # again
+        lifted_root = hensel_roots(3, 7, 80)[1][1]
         a = CycInt.zeta(3) - lifted_root % 7**39
         expected = 39
         while (lifted_root - lifted_root % 7**39) % 7 ** (expected + 1) == 0:
             expected += 1
-        assert h.precision < 39 <= expected < 80
-        assert ideal_valuation(a, h) == expected
+        assert 2 * 3 + 4 < 39 <= expected < 80
+        assert ideal_valuation(a, 7) == {1: expected, 2: 0}
         # a value that stays 0 at every precision contradicts the norm bound
-        monkeypatch.setattr(CycInt, "evaluate_mod", lambda self, x, m: 0)
+        monkeypatch.setattr(
+            cyclotomic, "_values_at_roots", lambda coeffs, powers, m: [0] * (len(powers) - 1)
+        )
         with pytest.raises(VerificationError, match="norm bound"):
-            ideal_valuation(a, h)
+            ideal_valuation(a, 7)
 
     @pytest.mark.parametrize("k", [40, 60, 200])
     def test_high_powers_of_a_prime_element(self, k):
-        # zeta_3 - r generates the prime (7, zeta_3 - r) for r = 2, 4
-        for h in hensel_roots(3, 7):
-            r = h.root % 7
-            a = (CycInt.zeta(3) - r) ** k
-            assert ideal_valuation(a, h) == k
-            other = next(g for g in hensel_roots(3, 7) if g.label != h.label)
-            assert ideal_valuation(a, other) == 0
-            assert ideal_valuation(a * 7**k, h) == 2 * k
+        # zeta_3 - r generates the prime (7, zeta_3 - r^t) of label t when
+        # r = r^t mod 7
+        _, residues = hensel_roots(3, 7, 1)
+        for t in (1, 2):
+            a = (CycInt.zeta(3) - residues[t]) ** k
+            assert ideal_valuation(a, 7) == {t: k, 3 - t: 0}
+            assert ideal_valuation(a * 7**k, 7) == {t: 2 * k, 3 - t: k}
 
     def test_zero_rejected(self):
-        h = hensel_roots(3, 7)[0]
         with pytest.raises(ValueError):
-            ideal_valuation(CycInt.from_int(3, 0), h)
+            ideal_valuation(CycInt.from_int(3, 0), 7)
 
 
 class TestBiCycInt:

@@ -25,10 +25,9 @@ from stickelberger.cyclotomic import (
     lambda_element,
     lambda_valuation,
     norm,
-    pq_roots,
     zeta_p_power,
 )
-from stickelberger import gauss
+from stickelberger import cyclotomic, gauss
 from stickelberger.cli import SUITE_INERT_PAIRS, SUITE_SPLIT_PAIRS
 from stickelberger.gauss import (
     _character_grid,
@@ -233,6 +232,20 @@ class TestInertStructure:
         record = build_record(*pair)
         assert lambda_valuation(record.G + 1) >= record.p + 1
 
+    @pytest.mark.parametrize("pair", INERT_PAIRS + [(13, 2), (43, 2)])
+    def test_split_floor_check_mod_p_squared_is_exact(self, pair):
+        # the record takes G + 1 with G's coefficients mod p^2; that must
+        # answer v(G + 1) >= p + 1 as the exact valuation does, also for
+        # G + lambda^p, where the exact valuation is p
+        record = cached_record(*pair)
+        p = record.p
+        exact = lambda_valuation(record.G + 1)
+        assert record.checks["G_plus_one_above_split_floor"] == (exact >= p + 1)
+        for G in (record.G, record.G + lambda_element(p) ** p):
+            reduced = lambda_valuation(pow(G, 1, p * p) + 1) >= p + 1
+            assert reduced == (lambda_valuation(G + 1) >= p + 1)
+        assert lambda_valuation(record.G + lambda_element(p) ** p + 1) == p
+
 
 class TestPiAdicSharpness:
     @pytest.mark.parametrize(
@@ -365,7 +378,7 @@ def test_times_zeta_p_is_the_product(pair):
 
 
 # the pairs whose `gauss verify` stdout is pinned by sha256 in test_cli.py
-PINNED_PAIRS = [(17, 103), (13, 2), (19, 191), (43, 2)]
+PINNED_PAIRS = [(17, 103), (13, 2), (19, 191), (43, 2), (61, 367)]
 # every pair with p < 14, q < 60, at most 600 entries in Z[zeta_pq] and at
 # most 5000 field elements
 SMALL_PAIRS = [
@@ -413,14 +426,20 @@ class TestGFromValues:
         # zeta_q; and the values at the powers of r_p^s are interpolated
         # over the same powers, so every root of Phi_p gives G as well
         p, q = data.draw(st.sampled_from(SMALL_SPLIT_PAIRS))
-        u = data.draw(st.integers(1, q - 1))
-        s = data.draw(st.integers(1, p - 1))
+        exponent = {q: data.draw(st.integers(1, q - 1)), p: data.draw(st.integers(1, p - 1))}
         record = cached_record(p, q)
         bound = 4 * sum(abs(c) for row in record.g.coeffs for c in row) ** p
-        modulus, r_p, r_q = pq_roots(p, q, bound.bit_length())
-        G = zeta_p_power(record.g, p, modulus, r_p, pow(r_q, u, modulus))
-        assert G == zeta_p_power(record.g, p, modulus, r_p, r_q) == record.G
-        assert zeta_p_power(record.g, p, modulus, pow(r_p, s, modulus), r_q) == G
+        real = cyclotomic.hensel_roots
+
+        def other_root(n, ell, k):
+            # the table of r^e in place of r: entry j is r^(e*j)
+            modulus, powers = real(n, ell, k)
+            return modulus, tuple(powers[exponent[n] * j % n] for j in range(n))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cyclotomic, "hensel_roots", other_root)
+            G = zeta_p_power(record.g, p, bound.bit_length())
+        assert G == zeta_p_power(record.g, p, bound.bit_length()) == record.G
 
     @pytest.mark.parametrize("pair", [(5, 11), (7, 29), (17, 103)])
     def test_exact_exactly_above_twice_the_largest_coefficient(self, pair):
@@ -429,15 +448,15 @@ class TestGFromValues:
         largest = max(map(abs, record.G.coeffs))
         exact = []
         for bits in range(0, 2 * largest.bit_length() + 2):
-            modulus, r_p, r_q = pq_roots(p, q, bits)
-            G = zeta_p_power(record.g, p, modulus, r_p, r_q)
-            assert (G == record.G) == (modulus > 2 * largest), modulus
+            ell, k = cyclotomic._prime_power_above(p * q, bits)
+            G = zeta_p_power(record.g, p, bits)
+            assert (G == record.G) == (ell**k > 2 * largest), ell**k
             exact.append(G == record.G)
         assert not exact[0] and exact[-1]
 
     def test_modulus_below_the_bound_fails_the_record(self, monkeypatch):
-        real = gauss.pq_roots
-        monkeypatch.setattr(gauss, "pq_roots", lambda p, q, bits: real(p, q, 8))
+        real = gauss.zeta_p_power
+        monkeypatch.setattr(gauss, "zeta_p_power", lambda g, e, bits: real(g, e, 8))
         record = build_record(17, 103)
         assert record.G != power_in_zeta_pq(record.g)
         assert not record.ok
@@ -469,13 +488,20 @@ class TestGFromValues:
             lambda r_p, r_q, ell, m: (r_p % ell, r_q),  # a root mod ell only
         ],
     )
-    def test_a_root_of_the_wrong_order_raises(self, roots):
+    def test_a_root_of_the_wrong_order_raises(self, roots, monkeypatch):
         p, q = 5, 11
         g = cached_record(p, q).g
-        modulus, r_p, r_q = pq_roots(p, q, 200)
-        ell = next(n for n in range(p * q + 1, modulus, p * q) if is_prime(n))
+        ell, k = cyclotomic._prime_power_above(p * q, 200)
+        modulus, powers_p = cyclotomic.hensel_roots(p, ell, k)
+        _, powers_q = cyclotomic.hensel_roots(q, ell, k)
+        bad = dict(zip((p, q), roots(powers_p[1], powers_q[1], ell, modulus)))
+        monkeypatch.setattr(
+            cyclotomic,
+            "hensel_roots",
+            lambda n, ell, k: (modulus, tuple(cyclotomic._power_table(bad[n], n, modulus))),
+        )
         with pytest.raises(VerificationError, match="no roots of Phi"):
-            zeta_p_power(g, p, modulus, *roots(r_p, r_q, ell, modulus))
+            zeta_p_power(g, p, 200)
 
 
 class TestPowerPlusOneValuation:
