@@ -12,6 +12,7 @@ setting.  Every JSON report goes through one encoder, `_encode`.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -49,16 +50,16 @@ SUITE_INERT_PAIRS = ((5, 3), (7, 2), (11, 3), (5, 7))
 MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
-# each bound lets through and the first ones beyond it (cold CLI, median of
-# 3 runs, 2-vCPU VM, Python 3.11).  Each bound stops where pairs start to
-# take more than about 5 s:
+# each bound lets through and the first ones beyond it (cold, median of 3
+# runs, 2-vCPU VM, Python 3.11).  The first two bounds were set where pairs
+# took more than about 5 s:
 # - p: G = g_cyc ** p for f > 1 and the valuations of G grow with p;
-#   (421, 29) took 5.1 s and (631, 43) 5.0 s, and beyond the bound
-#   (757, 3) took 5.6 s, 3.4 s of it in g_cyc ** p.
-# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: the split
-#   (113, 227) took 3.7 s and the inert (13, 1013), whose walk visits
-#   1013^2 field elements, 5.1 s; beyond the bound, the split (131, 263)
-#   took 5.2 s and (173, 347) 24 s.
+#   (421, 29) took 4.8 s and (631, 43) 4.2 s, and beyond the bound
+#   (757, 3) took 4.1 s.
+# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: the inert
+#   (13, 1013), whose walk visits 1013^2 field elements, took 4.6 s.  Split
+#   pairs cost less: (113, 227) took 0.64 s, and beyond the bound (131, 263)
+#   took 0.70 s and (173, 347) 1.7 s.
 # - q^f, the number of field elements the character walk visits; (41, 2)
 #   walks 2^20 of them in 19 s, (73, 3) 3^12 in 8 s.
 MAX_GAUSS_P = 700
@@ -152,6 +153,20 @@ def _coeff_strings(elt):
     return [str(c) for c in elt.coeffs]
 
 
+@contextlib.contextmanager
+def _job_map(jobs):
+    """`map`, or the `map` of a pool of `jobs` worker processes; either
+    yields results in input order."""
+    if jobs <= 1:
+        yield map
+        return
+    # imported here: a single-job run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
+
+
 def _scan_worker(p):
     return q_root_scan(p)
 
@@ -179,14 +194,8 @@ def cmd_scan_irregular(args, out):
     primes = _primes_upto(args.pmax)
     # rows are printed only after the whole scan, so a failed check leaves
     # stdout empty
-    if args.jobs > 1:
-        # imported here: a single-job run does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(map(_scan_row, pool.map(_scan_worker, primes)))
-    else:
-        rows = [_scan_row(_scan_worker(p)) for p in primes]
+    with _job_map(args.jobs) as job_map:
+        rows = list(map(_scan_row, job_map(_scan_worker, primes)))
     _emit(f"# stickelberger {__version__}", out)
     _emit(f"# scan-irregular pmax={args.pmax}", out)
     _emit("p\tverdict\todd_roots\tirregular_indices\tagreement", out)
@@ -295,17 +304,9 @@ def _suite_gauss_item(pair):
 def cmd_suite(args, out):
     """One deterministic report over the whole verification battery."""
     primes = _primes_upto(args.pmax)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            scan = list(pool.map(_scan_worker, primes))
-            gauss = list(
-                pool.map(_suite_gauss_item, SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS)
-            )
-    else:
-        scan = [_scan_worker(p) for p in primes]
-        gauss = [_suite_gauss_item(pair) for pair in SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS]
+    with _job_map(args.jobs) as job_map:
+        scan = list(job_map(_scan_worker, primes))
+        gauss = list(job_map(_suite_gauss_item, SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS))
     principality = [principality_test(p, q) for (p, q) in SUITE_INERT_PAIRS]
     corollaries = [half_degree_corollary(p) for p in primes if p % 4 == 3 and p > 3]
     failures = (

@@ -369,14 +369,11 @@ def _lift_root(p, q, r, precision):
     return r
 
 
-@lru_cache(maxsize=16)
 def hensel_roots(n, ell, k):
     """(ell^k, (r^0, ..., r^(n-1)) mod ell^k) for primes n and ell = 1
     (mod n), where r is the Newton lift of the smallest root of Phi_n
     mod ell.  The lift of a power is the power of the lift, since lifts are
-    unique, so r^t is the root that lifts the t-th power of the smallest.
-    The probe asks for one table per L1 shell of its sweep, so the last
-    few tables are kept."""
+    unique, so r^t is the root that lifts the t-th power of the smallest."""
     if not is_prime(n) or (ell - 1) % n:
         raise ValueError(f"{ell} is not 1 mod the prime {n}: no split roots")
     modulus = ell ** k

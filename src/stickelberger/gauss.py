@@ -167,22 +167,23 @@ def _stickelberger_profile(G: CycInt, p, q):
     return profile, matches
 
 
-def _power_plus_one_valuation(G: CycInt, p):
-    """v(G^p + 1), exact, from G^p + 1 with coefficients reduced mod p^K.
+def _power_plus_one_valuation(G: CycInt, e):
+    """v(G^e + 1), exact, from G^e + 1 with coefficients reduced mod p^K.
     p is a unit times lambda^(p-1), so the reduction moves the element by
     a multiple of lambda^(K(p-1)), and a value below K(p-1) is exact.  K
-    starts at 3 and doubles; every conjugate of G^p + 1 has absolute value
-    at most (sum |G_i|)^p + 1, and a K past the norm bound that gives can
+    starts at 3 and doubles; every conjugate of G^e + 1 has absolute value
+    at most (sum |G_i|)^e + 1, and a K past the norm bound that gives can
     only mean a broken G."""
-    bound = _valuation_bound(p, [sum(map(abs, G.coeffs)) ** p + 1])
+    p = G.p
+    bound = _valuation_bound(p, [sum(map(abs, G.coeffs)) ** e + 1])
     K = 3
     while True:
-        v = lambda_valuation(pow(G, p, p ** K) + 1)
+        v = lambda_valuation(pow(G, e, p ** K) + 1)
         if v < K * (p - 1):
             return v
         if K * (p - 1) > bound:
             raise VerificationError(
-                f"v(G^{p} + 1) exceeds its norm bound {bound} at p={p}"
+                f"v(G^{e} + 1) exceeds its norm bound {bound} at p={p}"
             )
         K *= 2
 
@@ -191,12 +192,12 @@ def pi_adic_profile(g: BiCycInt, G: CycInt, p, q) -> dict:
     """Exact lambda-adic valuations of g+1, G+1 and G^p+1, with the branch
     verdicts: v(G+1) = p exactly when p^((q-1)/p) is not a p-th power mod
     q, at least p+1 when it is; correspondingly 2p-1 exactly or at least 2p
-    for G^p + 1.  G is the record's G in Z[zeta_p], and G^p + 1 is taken
-    with coefficients mod p^K (`_power_plus_one_valuation`)."""
+    for G^p + 1.  G is the record's G in Z[zeta_p], and both valuations of
+    G are taken with coefficients mod p^K (`_power_plus_one_valuation`)."""
     if (q - 1) % p != 0:
         raise ValueError("pi-adic profile applies to split q only")
     v_g = bi_lambda_valuation(g + 1)
-    v_G = lambda_valuation(G + 1)
+    v_G = _power_plus_one_valuation(G, 1)
     v_Gp = _power_plus_one_valuation(G, p)
     power_cond = pow(p, (q - 1) // p, q) == 1
     branch_ok = (v_G >= p + 1 and v_Gp >= 2 * p) if power_cond else (
@@ -258,9 +259,8 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
             )
             flags["rho_relabel_exponent"] = s
 
-        checks["norm_G_equals_q_to_stickelberger_weight"] = abs(norm(G)) == q ** (
-            p * (p - 1) // 2
-        )
+        # N(G conj(G)) = N(G)^2, so G conj(G) = q^p gives |N(G)| = q^(p(p-1)/2)
+        checks["norm_G_equals_q_to_stickelberger_weight"] = G * G.conj() == q ** p
         profile, matches = _stickelberger_profile(G, p, q)
         checks["stickelberger_profile_unique_relabel"] = len(matches) == 1
         if matches:
@@ -288,11 +288,7 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.
         checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g_cyc + 1) >= 1
-        # p^2 is a unit times lambda^(2p-2) and 2p-2 >= p+1, so G with its
-        # coefficients mod p^2 answers the same
-        checks["G_plus_one_above_split_floor"] = (
-            lambda_valuation(pow(G, 1, p * p) + 1) >= p + 1
-        )
+        checks["G_plus_one_above_split_floor"] = _power_plus_one_valuation(G, 1) >= p + 1
         if f % 2 == 0:
             checks["g_is_unit_times_q_half_f"] = _is_unit_times_power(g_cyc, q, f)
 

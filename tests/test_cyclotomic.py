@@ -370,14 +370,6 @@ def norm_operand(draw):
     return CycInt(p, coeffs)
 
 
-@pytest.fixture
-def fresh_root_tables():
-    """Clears the cached root tables around a test that sabotages them."""
-    cyclotomic.hensel_roots.cache_clear()
-    yield
-    cyclotomic.hensel_roots.cache_clear()
-
-
 class TestNormByEvaluation:
     """The norm as a product of values at the roots of Phi_p mod ell^k,
     against the product of the p-1 Galois conjugates."""
@@ -438,9 +430,7 @@ class TestNormByEvaluation:
         with pytest.raises(VerificationError, match="not a\\(1\\)"):
             norm(a)
 
-    def test_unlifted_root_fails_the_congruence_check(
-        self, monkeypatch, fresh_root_tables
-    ):
+    def test_unlifted_root_fails_the_congruence_check(self, monkeypatch):
         # a root mod ell only, not mod ell^k
         monkeypatch.setattr(cyclotomic, "_lift_root", lambda p, q, r, precision: r)
         a = CycInt(7, (3, 1, 4, 1, 5, 9))

@@ -233,17 +233,15 @@ class TestInertStructure:
         assert lambda_valuation(record.G + 1) >= record.p + 1
 
     @pytest.mark.parametrize("pair", INERT_PAIRS + [(13, 2), (43, 2)])
-    def test_split_floor_check_mod_p_squared_is_exact(self, pair):
-        # the record takes G + 1 with G's coefficients mod p^2; that must
-        # answer v(G + 1) >= p + 1 as the exact valuation does, also for
-        # G + lambda^p, where the exact valuation is p
+    def test_split_floor_check_is_exact(self, pair):
+        # the record takes v(G + 1) mod p^K; that must equal the exact
+        # valuation, also for G + lambda^p, where the exact valuation is p
         record = cached_record(*pair)
         p = record.p
         exact = lambda_valuation(record.G + 1)
         assert record.checks["G_plus_one_above_split_floor"] == (exact >= p + 1)
         for G in (record.G, record.G + lambda_element(p) ** p):
-            reduced = lambda_valuation(pow(G, 1, p * p) + 1) >= p + 1
-            assert reduced == (lambda_valuation(G + 1) >= p + 1)
+            assert _power_plus_one_valuation(G, 1) == lambda_valuation(G + 1)
         assert lambda_valuation(record.G + lambda_element(p) ** p + 1) == p
 
 
@@ -363,7 +361,9 @@ def jacobi_G(fd):
     return G
 
 
-@pytest.mark.parametrize("pair", SPLIT_PAIRS + INERT_PAIRS + [(17, 103), (13, 2)])
+@pytest.mark.parametrize(
+    "pair", SPLIT_PAIRS + INERT_PAIRS + [(17, 103), (13, 2), (61, 367)]
+)
 def test_G_equals_jacobi_product(pair):
     fd = field_make(*pair)
     assert gauss_sum(fd).G == jacobi_G(fd)
@@ -402,11 +402,16 @@ class TestGFromValues:
     """G = g^p from its values at the roots of Phi_p mod ell^k (split q) or
     as a power in Z[zeta_p] (f > 1), against the power in Z[zeta_pq]."""
 
+    # (61, 367) is left to test_G_equals_jacobi_product: its power in
+    # Z[zeta_pq] alone takes about 15 s
     @pytest.mark.parametrize(
         "pair",
         sorted(
-            set(SPLIT_PAIRS + INERT_PAIRS + PINNED_PAIRS)
-            | set(SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS)
+            (
+                set(SPLIT_PAIRS + INERT_PAIRS + PINNED_PAIRS)
+                | set(SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS)
+            )
+            - {(61, 367)}
         ),
     )
     def test_equals_the_power_in_zeta_pq(self, pair):
@@ -505,7 +510,7 @@ class TestGFromValues:
 
 
 class TestPowerPlusOneValuation:
-    """v(G^p + 1) from G^p + 1 reduced mod p^K, against the exact power."""
+    """v(G^e + 1) from G^e + 1 reduced mod p^K, against the exact power."""
 
     @pytest.mark.parametrize("pair", SPLIT_PAIRS + [(3, 61), (17, 103)])
     def test_equals_the_valuation_of_the_exact_power(self, pair):
@@ -523,14 +528,58 @@ class TestPowerPlusOneValuation:
         k = data.draw(st.integers(0, 60))
         b = CycInt(p, data.draw(st.lists(st.integers(-9, 9), min_size=p - 1, max_size=p - 1)))
         a = lambda_element(p) ** k * b - 1
-        expected = lambda_valuation(a ** p + 1)
-        if expected == float("inf"):
-            with pytest.raises(VerificationError, match="norm bound"):
-                _power_plus_one_valuation(a, p)
-        else:
-            assert _power_plus_one_valuation(a, p) == expected
+        for e in (1, p):
+            expected = lambda_valuation(a ** e + 1)
+            if expected == float("inf"):
+                with pytest.raises(VerificationError, match="norm bound"):
+                    _power_plus_one_valuation(a, e)
+            else:
+                assert _power_plus_one_valuation(a, e) == expected
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_minus_one_exceeds_the_norm_bound(self, p):
-        with pytest.raises(VerificationError, match="norm bound"):
-            _power_plus_one_valuation(CycInt.from_int(p, -1), p)
+        for e in (1, p):
+            with pytest.raises(VerificationError, match=f"v\\(G\\^{e} \\+ 1\\) exceeds"):
+                _power_plus_one_valuation(CycInt.from_int(p, -1), e)
+
+    @pytest.mark.parametrize("pair", SPLIT_PAIRS + INERT_PAIRS + PINNED_PAIRS)
+    def test_plus_one_equals_the_exact_valuation(self, pair):
+        G = cached_record(*pair).G
+        assert _power_plus_one_valuation(G, 1) == lambda_valuation(G + 1)
+
+
+SPLIT_NORM_PAIRS = sorted(
+    set(SPLIT_PAIRS + [(p, q) for p, q in PINNED_PAIRS if q % p == 1])
+    | set(SUITE_SPLIT_PAIRS)
+)
+
+
+class TestNormCheck:
+    """The record's G conj(G) = q^p against |N(G)| = q^(p(p-1)/2) by the
+    evaluation route, `norm`."""
+
+    @pytest.mark.parametrize("pair", SPLIT_NORM_PAIRS)
+    def test_equals_the_norm_by_evaluation(self, pair):
+        p, q = pair
+        record = cached_record(p, q)
+        by_norm = abs(norm(record.G)) == q ** (p * (p - 1) // 2)
+        assert record.checks["norm_G_equals_q_to_stickelberger_weight"] == by_norm
+        assert by_norm
+
+    def test_perturbed_G_fails_both_routes(self, monkeypatch):
+        p, q = 17, 103
+        real = gauss.zeta_p_power
+        monkeypatch.setattr(gauss, "zeta_p_power", lambda g, e, bits: real(g, e, bits) + 1)
+        record = build_record(p, q)
+        assert not record.checks["norm_G_equals_q_to_stickelberger_weight"]
+        assert abs(norm(record.G)) != q ** (p * (p - 1) // 2)
+        assert record.G == cached_record(p, q).G + 1
+
+    def test_split_record_takes_no_norm(self, monkeypatch):
+        def refuse(a):
+            raise RuntimeError("norm taken")
+
+        monkeypatch.setattr(gauss, "norm", refuse)
+        assert build_record(5, 11).ok
+        with pytest.raises(RuntimeError, match="norm taken"):
+            build_record(5, 3)
