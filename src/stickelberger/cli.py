@@ -22,6 +22,7 @@ from . import __version__
 from .arith import (
     MILLER_RABIN_DETERMINISTIC_BOUND,
     VerificationError,
+    _primes_below,
     is_prime,
     multiplicative_order,
     primitive_root,
@@ -76,9 +77,9 @@ MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
 # Largest -p of the commands that are quasi-linear in p.  At p = 199999,
-# bernoulli took 13 s and 74 MB peak RSS, stickelberger show 6 s and 186 MB,
-# principality test -q 1199993 (f = 2) 12 s and 109 MB, and principality
-# corollary 0.7 s (cold CLI, 2-vCPU VM, Python 3.11).
+# bernoulli took 13 s and 71 MB peak RSS, stickelberger show 5.2 s and 202 MB,
+# principality test -q 1199993 (f = 2) 10 s and 106 MB, and principality
+# corollary 0.27 s and 43 MB (cold CLI, median of 3, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
 
 # Largest -q of `stickelberger show` and `principality test`, which need only
@@ -172,7 +173,8 @@ def _scan_worker(p):
 
 
 def _primes_upto(n):
-    return [p for p in range(3, n + 1) if is_prime(p)]
+    """The odd primes up to n."""
+    return _primes_below(n + 1)[1:]
 
 
 def _scan_row(vd):

@@ -16,7 +16,6 @@ arbitrary-precision Python ints.
 """
 
 import math
-from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
 
@@ -294,7 +293,6 @@ class BiCycInt(CoeffVector):
 # lambda-adic valuations
 
 
-@lru_cache(maxsize=None)
 def lambda_element(p) -> CycInt:
     """lambda = zeta_p - 1, the generator of the prime over p."""
     return CycInt.zeta(p) - 1

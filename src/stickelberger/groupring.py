@@ -16,7 +16,7 @@ from .arith import (
     multiplicative_order,
     packed_mul,
 )
-from .cyclotomic import CoeffVector
+from .cyclotomic import CoeffVector, _power_table
 
 
 class GroupRingElt(CoeffVector):
@@ -77,11 +77,7 @@ def fp_gr_eval_powers(g: GroupRingElt, v: int) -> list:
 
 
 def _dlog_table(p, v):
-    table = {}
-    cur = 1
-    for i in range(p - 1):
-        table[cur] = i
-        cur = cur * v % p
+    table = {r: i for i, r in enumerate(_power_table(v, p - 1, p))}
     if len(table) != p - 1:
         raise ValueError(f"{v} is not a primitive root mod {p}")
     return table
@@ -103,7 +99,14 @@ def stickelberger_S(p, v) -> GroupRingElt:
 def polynomial_P(p, v) -> GroupRingElt:
     """P(sigma) = sum_i sigma^i v^(-i) with representatives in [1, p-1]."""
     _dlog_table(p, v)
-    return GroupRingElt(p, [canon_power(v, -i, p) for i in range(p - 1)])
+    return GroupRingElt(p, _power_table(canon_power(v, -1, p), p - 1, p))
+
+
+def orbit_sums(p, v, m):
+    """[sum_j v^(-(i+jm)) for i < m]: P's coefficients summed over the
+    cosets of m, a divisor of p-1."""
+    inverse_powers = polynomial_P(p, v).coeffs
+    return [sum(inverse_powers[i::m]) for i in range(m)]
 
 
 def delta_coeffs(p, v):
@@ -147,14 +150,11 @@ def polynomial_Q1_factorization(p, v):
     Q = Q1 * (1 + sigma + ... + sigma^((p-3)/2))."""
     deltas = delta_coeffs(p, v)
     half = (p - 1) // 2
-    low = [0] * (p - 1)
-    for i in range(half):
-        low[i] = deltas[i]
-    low_part = GroupRingElt(p, low)
+    low_part = GroupRingElt(p, deltas[:half] + [0] * (p - 1 - half))
     one_minus_sigma = GroupRingElt.from_int(p, 1) - GroupRingElt.sigma_power(p, 1)
     q1 = one_minus_sigma * low_part + GroupRingElt.sigma_power(p, half, 1 - v)
     ladder = GroupRingElt(p, [1] * half + [0] * (p - 1 - half))
-    verdict = q1 * ladder == polynomial_Q(p, v)
+    verdict = q1 * ladder == GroupRingElt(p, deltas)
     return q1, verdict
 
 
@@ -169,8 +169,7 @@ def polynomial_S2(p, q, v) -> GroupRingElt:
         raise ValueError(f"q={q} splits (f = 1), where S2 is undefined")
     m = (p - 1) // f
     coeffs = [0] * (p - 1)
-    for i in range(m):
-        block = sum(canon_power(v, -(i + j * m), p) for j in range(f))
+    for i, block in enumerate(orbit_sums(p, v, m)):
         if block % p:
             raise VerificationError(f"S2 coefficient {i} is not integral")
         coeffs[i] = block // p

@@ -19,7 +19,7 @@ from .arith import (
     primitive_root,
 )
 from .cyclotomic import CycInt, lambda_element, root_values, shift_norms
-from .groupring import fp_gr_eval_powers, polynomial_S2
+from .groupring import fp_gr_eval_powers, orbit_sums, polynomial_S2
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
         raise ValueError("p = 3 gives f = 1, outside the f > 1 hypothesis")
     if v is None:
         v = primitive_root(p)
-    even_orbit = sum(canon_power(v, -2 * j, p) for j in range((p - 1) // 2))
-    odd_orbit = sum(canon_power(v, -(1 + 2 * j), p) for j in range((p - 1) // 2))
+    even_orbit, odd_orbit = orbit_sums(p, v, 2)
     if even_orbit % p or odd_orbit % p:
         raise VerificationError("orbit sums must be divisible by p")
     sigma = even_orbit // p - odd_orbit // p

@@ -103,14 +103,33 @@ def smallest_prime_with_order(p: int, f: int, limit: int = 100_000) -> int:
     raise ValueError(f"no prime of order {f} mod {p} below {limit}")
 
 
+def primitive_roots(p):
+    """Every primitive root mod p in [1, p-1]."""
+    return [v for v in range(1, p) if multiplicative_order(v, p) == p - 1]
+
+
+def inverse_powers_by_term(p, v):
+    """[v^0, v^(-1), ..., v^(-(p-2))] mod p in [1, p-1], one modular
+    inverse power per term."""
+    return [canon_power(v, -i, p) for i in range(p - 1)]
+
+
 def conjugate_product_norm(a: CycInt) -> int:
-    """N(a) as the product of all p-1 Galois conjugates, one ring product
-    at a time."""
+    """N(a) as the product of all p-1 Galois conjugates sigma^i(a), with
+    sigma: zeta -> zeta^v for a primitive root v, by orbit doubling:
+    P_m = prod_{i<m} sigma^i(a) gives P_2m = P_m * sigma^m(P_m), and an odd
+    count takes one more conjugate, P_(2m+1) = P_2m * sigma^2m(a)."""
     if a.is_zero():
         raise ValueError("norm of 0 is degenerate")
-    acc = a
-    for t in range(2, a.p):
-        acc = acc * galois_apply(t, a)
+    p = a.p
+    v = primitive_root(p)
+    acc, m = a, 1
+    for bit in bin(p - 1)[3:]:
+        acc = acc * galois_apply(pow(v, m, p), acc)
+        m *= 2
+        if bit == "1":
+            acc = acc * galois_apply(pow(v, m, p), a)
+            m += 1
     if any(acc.coeffs[1:]):
         raise ValueError(f"{acc!r} is not a rational integer")
     return acc.coeffs[0]

@@ -12,8 +12,10 @@ import pytest
 from stickelberger import gauss
 from stickelberger.cli import (
     LIMITS,
+    MAX_FIELD_ORDER,
     MAX_PROBE_BOUND,
     MAX_PROBE_P,
+    MAX_RING_ENTRIES,
     MAX_SCAN_PMAX,
     _gauss_size_error,
     build_parser,
@@ -23,6 +25,7 @@ from stickelberger.principality import principal_norm_probe
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
+DOCS_CLI_OUTPUT = Path(__file__).parent.parent / "docs" / "cli-output.md"
 
 GOLDEN_CASES = {
     "scan_irregular_pmax40.txt": ["scan-irregular", "--pmax", "40"],
@@ -244,6 +247,30 @@ class TestExitCodes:
             ("gauss verify", "-q"),
             ("principality probe", "--coeff-bound"),
         }
+
+    def test_docs_limit_table_matches_limits(self):
+        """The limit table of docs/cli-output.md lists every bounded option
+        of LIMITS at its value, and the paragraph under it names the ring
+        entries and field order bounds of `gauss verify`."""
+        text = DOCS_CLI_OUTPUT.read_text()
+        rest = text.partition("| command | limits |\n| --- | --- |\n")[2]
+        table, _, rest = rest.partition("\n\n")
+        documented = {}
+        for row in table.splitlines():
+            commands, limits = row.strip("| ").split(" | ")
+            entries = {}
+            for entry in limits.split(", "):
+                flag, value = entry.split()
+                entries[flag.strip("`")] = int(value)
+            for command in commands.split(", "):
+                documented[command.strip("`")] = entries
+        bounded = {c: {f: lim for f, lim in LIMITS[c].items() if lim is not None} for c in LIMITS}
+        assert documented == bounded
+        paragraph = rest.partition("\n## ")[0]
+        assert f"`(p-1)(q-1) > {MAX_RING_ENTRIES}`" in paragraph
+        exponent = MAX_FIELD_ORDER.bit_length() - 1
+        assert MAX_FIELD_ORDER == 2**exponent
+        assert f"`2^{exponent}`" in paragraph
 
     @pytest.mark.parametrize("command", sorted(FIRST_WORK))
     def test_p_above_the_limit_exits_2_before_any_work(

@@ -1,11 +1,12 @@
 import pytest
 
-from reference import smallest_prime_with_order
-from stickelberger.arith import canon_power, is_prime, primitive_root
+from reference import inverse_powers_by_term, primitive_roots, smallest_prime_with_order
+from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
 from stickelberger.groupring import (
     GroupRingElt,
     delta_coeffs,
     fp_gr_eval,
+    orbit_sums,
     polynomial_P,
     polynomial_Q,
     polynomial_Q1_factorization,
@@ -17,6 +18,7 @@ from stickelberger.groupring import (
 
 PRIMES_TO_500 = [p for p in range(3, 501) if is_prime(p)]
 PRIMES_TO_100 = [p for p in PRIMES_TO_500 if p <= 100]
+PRIMES_TO_60 = [p for p in PRIMES_TO_500 if p < 60]
 
 
 class TestStickelbergerS:
@@ -55,6 +57,19 @@ class TestP:
     def test_value_at_v_is_minus_one(self, p):
         v = primitive_root(p)
         assert fp_gr_eval(polynomial_P(p, v), v) == p - 1
+
+    @pytest.mark.parametrize("p", PRIMES_TO_60)
+    def test_every_primitive_root_gives_the_inverse_powers(self, p):
+        for v in primitive_roots(p):
+            assert list(polynomial_P(p, v).coeffs) == inverse_powers_by_term(p, v)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_60)
+    def test_orbit_sums_add_the_inverse_powers_of_each_coset(self, p):
+        for v in primitive_roots(p):
+            terms = inverse_powers_by_term(p, v)
+            for m in (d for d in range(1, p) if (p - 1) % d == 0):
+                expected = [sum(terms[i + j * m] for j in range((p - 1) // m)) for i in range(m)]
+                assert orbit_sums(p, v, m) == expected
 
 
 class TestDelta:
@@ -138,6 +153,26 @@ class TestS2:
     def test_rejects_split_q(self):
         with pytest.raises(ValueError):
             polynomial_S2(5, 11, 2)
+
+    @pytest.mark.parametrize("v", [2, 4, 6, 7, 14])
+    def test_rejects_a_v_that_is_not_a_primitive_root(self, v):
+        # mod 7: 2 and 4 have order 3, 6 has order 2, 7 and 14 are 0
+        with pytest.raises(ValueError, match="is not a primitive root mod 7"):
+            polynomial_S2(7, 2, v)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_60)
+    def test_every_primitive_root_and_inert_q_below_200(self, p):
+        # reference: coefficient i is sum_j v^(-(i+jm)) / p, term by term
+        for q in (q for q in range(2, 200) if is_prime(q) and q != p):
+            f = multiplicative_order(q, p)
+            if f == 1:
+                continue
+            m = (p - 1) // f
+            for v in primitive_roots(p):
+                blocks = [sum(canon_power(v, -(i + j * m), p) for j in range(f)) for i in range(m)]
+                assert all(block % p == 0 for block in blocks)
+                expected = [block // p for block in blocks] + [0] * (p - 1 - m)
+                assert list(polynomial_S2(p, q, v).coeffs) == expected
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_integral_and_refolds(self, p):

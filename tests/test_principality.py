@@ -9,11 +9,13 @@ import pytest
 from stickelberger import principality
 from stickelberger.arith import (
     MILLER_RABIN_DETERMINISTIC_BOUND,
+    canon_power,
     is_prime,
     multiplicative_order,
 )
 from reference import (
     conjugate_product_norm,
+    primitive_roots,
     probe_sweep,
     probe_witnesses,
     sigma_values_by_loop,
@@ -114,6 +116,21 @@ class TestHalfDegree:
     )
     def test_nonzero_below_500(self, p):
         assert half_degree_corollary(p).verdict
+
+    @pytest.mark.parametrize("p", [p for p in range(7, 60) if is_prime(p) and p % 4 == 3])
+    def test_every_primitive_root_gives_the_orbit_sums(self, p):
+        half = (p - 1) // 2
+        for v in primitive_roots(p):
+            even_orbit = sum(canon_power(v, -2 * j, p) for j in range(half))
+            odd_orbit = sum(canon_power(v, -(1 + 2 * j), p) for j in range(half))
+            verdict = half_degree_corollary(p, v)
+            assert verdict.v == v
+            assert verdict.sigma == even_orbit // p - odd_orbit // p
+
+    @pytest.mark.parametrize("v", [2, 4, 6, 7, 14])
+    def test_rejects_a_v_that_is_not_a_primitive_root(self, v):
+        with pytest.raises(ValueError, match="is not a primitive root mod 7"):
+            half_degree_corollary(7, v)
 
 
 class TestNormProbe:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
+from reference import primitive_roots
 from stickelberger.cli import main
 from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
 from stickelberger.regularity import (
@@ -199,6 +200,18 @@ class TestBHalf:
             b_half_check(5)
         with pytest.raises(ValueError):
             b_half_check(13)
+
+    @pytest.mark.parametrize("v", [2, 4, 6, 7, 14])
+    def test_rejects_a_v_that_is_not_a_primitive_root(self, v):
+        with pytest.raises(ValueError, match="is not a primitive root mod 7"):
+            b_half_check(7, v)
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 60) if is_prime(p) and p % 4 == 3])
+    def test_every_primitive_root_gives_the_parity_sums(self, p):
+        for v in primitive_roots(p):
+            chk = b_half_check(p, v)
+            assert chk.s1 == sum(canon_power(v, -i, p) for i in range(0, p - 1, 2))
+            assert chk.s2 == sum(canon_power(v, -i, p) for i in range(1, p - 1, 2))
 
     @pytest.mark.parametrize(
         "p", [p for p in range(3, 501) if is_prime(p) and p % 4 == 3]
