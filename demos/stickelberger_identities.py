@@ -7,12 +7,11 @@ import sys
 
 from stickelberger.arith import multiplicative_order, primitive_root
 from stickelberger.groupring import (
-    GroupRingElt,
-    delta_coeffs,
     polynomial_P,
     polynomial_Q,
     polynomial_Q1_factorization,
     polynomial_S2,
+    q_identity_holds,
     stickelberger_S,
 )
 
@@ -29,13 +28,11 @@ print("S == P:", s == big_p)
 print("coefficient sum:", s.coefficient_sum(), "= p(p-1)/2 =", p * (p - 1) // 2)
 print()
 
-deltas = delta_coeffs(p, v)
-print("delta:", deltas)
 q_elt = polynomial_Q(p, v)
-sigma_minus_v = GroupRingElt.sigma_power(p, 1) - GroupRingElt.from_int(p, v)
-print("P * (sigma - v) == p * Q:", big_p * sigma_minus_v == q_elt * p)
+print("delta (the coefficients of Q):", q_elt.coeffs)
+print("P * (sigma - v) == p * Q:", q_identity_holds(big_p, q_elt, v))
 
-q1, ok = polynomial_Q1_factorization(p, v)
+q1, ok = polynomial_Q1_factorization(q_elt, v)
 print("Q1:", q1.coeffs)
 print("Q == Q1 * (1 + sigma + ... + sigma^((p-3)/2)):", ok)
 print()
@@ -44,7 +41,7 @@ for q in (2, 3, 5):
     if q == p:
         continue
     try:
-        s2 = polynomial_S2(p, q, v)
+        s2 = polynomial_S2(big_p, q)
     except ValueError as exc:
         print(f"q = {q}: {exc}")
         continue

@@ -28,7 +28,6 @@ from .cyclotomic import (
 )
 from .groupring import (
     GroupRingElt,
-    delta_coeffs,
     fp_gr_eval,
     polynomial_P,
     polynomial_Q,

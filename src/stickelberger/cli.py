@@ -29,7 +29,6 @@ from .arith import (
 )
 from .gauss import build_record
 from .groupring import (
-    delta_coeffs,
     polynomial_P,
     polynomial_Q,
     polynomial_Q1_factorization,
@@ -52,11 +51,12 @@ MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
 # each bound lets through and the first ones beyond it (cold, median of 3
-# runs, 2-vCPU VM, Python 3.11).  The first two bounds were set where pairs
-# took more than about 5 s:
-# - p: G = g_cyc ** p for f > 1 and the valuations of G grow with p;
-#   (421, 29) took 4.8 s and (631, 43) 4.2 s, and beyond the bound
-#   (757, 3) took 4.1 s.
+# runs, 2-vCPU VM, Python 3.11):
+# - p: G = g_cyc ** p for f > 1 and the valuations of G grow with p.  The
+#   bound is not where time jumps: (421, 29) took 4.3 s and (631, 43)
+#   4.0 s, and beyond it (757, 3) took 3.5 s (build_record in a fresh
+#   process), 2.3 s of it in g_cyc ** p.  It caps that power's size and
+#   keeps the slowest p-bounded pairs measured under about 5 s.
 # - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: the inert
 #   (13, 1013), whose walk visits 1013^2 field elements, took 4.6 s.  Split
 #   pairs cost less: (113, 227) took 0.64 s, and beyond the bound (131, 263)
@@ -77,9 +77,9 @@ MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
 # Largest -p of the commands that are quasi-linear in p.  At p = 199999,
-# bernoulli took 13 s and 71 MB peak RSS, stickelberger show 5.2 s and 202 MB,
-# principality test -q 1199993 (f = 2) 10 s and 106 MB, and principality
-# corollary 0.27 s and 43 MB (cold CLI, median of 3, 2-vCPU VM, Python 3.11).
+# bernoulli took 13 s and 71 MB peak RSS, stickelberger show 4.3 s and 190 MB,
+# principality test -q 1199993 (f = 2) 9.7 s and 107 MB, and principality
+# corollary 0.20 s and 26 MB (cold CLI, median of 3, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
 
 # Largest -q of `stickelberger show` and `principality test`, which need only
@@ -225,31 +225,34 @@ def cmd_stickelberger_show(args, out):
     v = primitive_root(p)
     s = stickelberger_S(p, v)
     big_p = polynomial_P(p, v)
-    q1, q1_ok = polynomial_Q1_factorization(p, v)
+    q = polynomial_Q(p, v)
+    q1, q1_ok = polynomial_Q1_factorization(q, v)
+    q_strings = _coeff_strings(q)  # the deltas are Q's coefficients
     payload = {
         "version": __version__,
         "p": p,
         "v": v,
         "S": _coeff_strings(s),
         "P": _coeff_strings(big_p),
-        "delta": [str(d) for d in delta_coeffs(p, v)],
-        "Q": _coeff_strings(polynomial_Q(p, v)),
+        "delta": q_strings,
+        "Q": q_strings,
         "Q1": _coeff_strings(q1),
         "identities": {
             "S_equals_P": s == big_p,
-            "P_times_sigma_minus_v_is_pQ": q_identity_holds(p, v),
+            "P_times_sigma_minus_v_is_pQ": q_identity_holds(big_p, q, v),
             "Q1_factorization": q1_ok,
         },
     }
     if args.q is not None:
-        s2 = polynomial_S2(p, args.q, v)
+        s2 = polynomial_S2(big_p, args.q)
         f = multiplicative_order(args.q, p)
+        m = (p - 1) // f
         payload["S2"] = {
             "q": args.q,
             "f": f,
-            "m": (p - 1) // f,
-            "coeffs": _coeff_strings(s2)[: (p - 1) // f],
-            "refold_identity": s2_refold_identity_holds(p, args.q, v),
+            "m": m,
+            "coeffs": _coeff_strings(s2)[:m],
+            "refold_identity": s2_refold_identity_holds(s, s2, m),
         }
     _json_dump(payload, out)
     ok = all(payload["identities"].values()) and (

@@ -37,7 +37,7 @@ from .cyclotomic import (
     norm,
     zeta_p_power,
 )
-from .groupring import polynomial_S2
+from .groupring import polynomial_P, polynomial_S2
 
 
 @dataclass
@@ -278,7 +278,7 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         G = g_cyc ** p
         checks["G_in_zeta_p"] = True
         checks["g_in_zeta_p"] = True
-        s2 = polynomial_S2(p, q, v)
+        s2 = polynomial_S2(polynomial_P(p, v), q)
         checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g_cyc)) == q ** (
             f * s2.coefficient_sum()
         )

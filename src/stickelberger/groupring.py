@@ -5,6 +5,9 @@ Q and Q1, and the folded element S2 used for inertial degree f > 1.
 
 Coefficient i always multiplies sigma^i where sigma: zeta -> zeta^v for
 the chosen primitive root v; exponent arithmetic is mod p-1.
+
+S, P and Q each have one builder from (p, v); S2 and the identity checks
+take the elements they read, so a caller builds each element once.
 """
 
 from operator import add
@@ -76,20 +79,16 @@ def fp_gr_eval_powers(g: GroupRingElt, v: int) -> list:
     return [s * w % p for s, w in zip(corr, inverse_chirp)]
 
 
-def _dlog_table(p, v):
-    table = {r: i for i, r in enumerate(_power_table(v, p - 1, p))}
-    if len(table) != p - 1:
-        raise ValueError(f"{v} is not a primitive root mod {p}")
-    return table
-
-
 def stickelberger_S(p, v) -> GroupRingElt:
     """S = sum_t t * w_t^(-1) translated into sigma-powers.
 
     w_t: zeta -> zeta^t, and w_t^(-1) = sigma^i exactly when v^i = t^(-1)
-    mod p, so the coefficient lands at the discrete log of t^(-1).
+    mod p, so the coefficient lands at the discrete log of t^(-1).  The
+    logs come from v's own powers, a route apart from P's inverse powers.
     """
-    dlog = _dlog_table(p, v)
+    dlog = {r: i for i, r in enumerate(_power_table(v, p - 1, p))}
+    if len(dlog) != p - 1:
+        raise ValueError(f"{v} is not a primitive root mod {p}")
     coeffs = [0] * (p - 1)
     for t in range(1, p):
         coeffs[dlog[pow(t, -1, p)]] += t
@@ -97,21 +96,27 @@ def stickelberger_S(p, v) -> GroupRingElt:
 
 
 def polynomial_P(p, v) -> GroupRingElt:
-    """P(sigma) = sum_i sigma^i v^(-i) with representatives in [1, p-1]."""
-    _dlog_table(p, v)
-    return GroupRingElt(p, _power_table(canon_power(v, -1, p), p - 1, p))
+    """P(sigma) = sum_i sigma^i v^(-i) with representatives in [1, p-1].
+
+    A unit v is a primitive root exactly when 1 does not recur among its
+    inverse powers v^(-1), ..., v^(-(p-2)).
+    """
+    inverse_powers = _power_table(pow(v, p - 2, p), p - 1, p)  # v^(p-2) = v^(-1)
+    if v % p == 0 or inverse_powers.count(1) > 1:
+        raise ValueError(f"{v} is not a primitive root mod {p}")
+    return GroupRingElt(p, inverse_powers)
 
 
-def orbit_sums(p, v, m):
+def orbit_sums(P, m):
     """[sum_j v^(-(i+jm)) for i < m]: P's coefficients summed over the
     cosets of m, a divisor of p-1."""
-    inverse_powers = polynomial_P(p, v).coeffs
-    return [sum(inverse_powers[i::m]) for i in range(m)]
+    return [sum(P.coeffs[i::m]) for i in range(m)]
 
 
-def delta_coeffs(p, v):
-    """The quotient coefficients delta_i = (v^(-(i-1)) - v^(-i) v)/p,
-    exact integers in (-p, 0] with delta_0 = 0."""
+def polynomial_Q(p, v) -> GroupRingElt:
+    """Q = sum delta_i sigma^i, satisfying P * (sigma - v) = p * Q, with
+    delta_i = (v^(-(i-1)) - v^(-i) v)/p exact integers in (-p, 0] and
+    delta_0 = 0."""
     inverse_v = canon_power(v, -1, p)
     deltas = []
     prev = v % p  # v^(-(i-1)); at i = 0 that is v^1
@@ -127,41 +132,35 @@ def delta_coeffs(p, v):
         prev, cur = cur, cur * inverse_v % p
     if deltas[0] != 0:
         raise VerificationError("delta_0 must vanish")
-    return deltas
+    return GroupRingElt(p, deltas)
 
 
-def polynomial_Q(p, v) -> GroupRingElt:
-    """Q = sum delta_i sigma^i, satisfying P * (sigma - v) = p * Q."""
-    return GroupRingElt(p, delta_coeffs(p, v))
-
-
-def q_identity_holds(p, v) -> bool:
+def q_identity_holds(P, Q, v) -> bool:
     """Exact check of P * (sigma - v) = p * Q in Z[G_p]."""
-    P = polynomial_P(p, v)
-    Q = polynomial_Q(p, v)
+    p = P.p
     sigma_minus_v = GroupRingElt.sigma_power(p, 1) - GroupRingElt.from_int(p, v)
     return P * sigma_minus_v == Q * p
 
 
-def polynomial_Q1_factorization(p, v):
+def polynomial_Q1_factorization(Q, v):
     """Q1 = (1 - sigma) * (sum_{i<=(p-3)/2} delta_i sigma^i)
            + (1 - v) sigma^((p-1)/2),
     together with the verdict of the exact factorization
     Q = Q1 * (1 + sigma + ... + sigma^((p-3)/2))."""
-    deltas = delta_coeffs(p, v)
+    p = Q.p
     half = (p - 1) // 2
-    low_part = GroupRingElt(p, deltas[:half] + [0] * (p - 1 - half))
+    low_part = GroupRingElt(p, Q.coeffs[:half] + (0,) * (p - 1 - half))
     one_minus_sigma = GroupRingElt.from_int(p, 1) - GroupRingElt.sigma_power(p, 1)
     q1 = one_minus_sigma * low_part + GroupRingElt.sigma_power(p, half, 1 - v)
     ladder = GroupRingElt(p, [1] * half + [0] * (p - 1 - half))
-    verdict = q1 * ladder == GroupRingElt(p, deltas)
-    return q1, verdict
+    return q1, q1 * ladder == Q
 
 
-def polynomial_S2(p, q, v) -> GroupRingElt:
+def polynomial_S2(P, q) -> GroupRingElt:
     """Folded Stickelberger element for a prime q of inertial degree f > 1:
     coefficient i is (sum_j v^(-(i+jm)))/p for i < m = (p-1)/f, an exact
-    integer."""
+    integer, read from P's coefficients."""
+    p = P.p
     if not is_prime(q) or q == p:
         raise ValueError(f"q={q} is not a prime other than p={p}")
     f = multiplicative_order(q, p)
@@ -169,21 +168,17 @@ def polynomial_S2(p, q, v) -> GroupRingElt:
         raise ValueError(f"q={q} splits (f = 1), where S2 is undefined")
     m = (p - 1) // f
     coeffs = [0] * (p - 1)
-    for i, block in enumerate(orbit_sums(p, v, m)):
+    for i, block in enumerate(orbit_sums(P, m)):
         if block % p:
             raise VerificationError(f"S2 coefficient {i} is not integral")
         coeffs[i] = block // p
     return GroupRingElt(p, coeffs)
 
 
-def s2_refold_identity_holds(p, q, v) -> bool:
-    """p * S2[i] must equal the sum of S coefficients over exponents
-    congruent to i mod m."""
-    f = multiplicative_order(q, p)
-    m = (p - 1) // f
-    s = stickelberger_S(p, v)
-    s2 = polynomial_S2(p, q, v)
-    for i in range(m):
-        if p * s2.coeffs[i] != sum(s.coeffs[i + j * m] for j in range(f)):
-            return False
-    return all(c == 0 for c in s2.coeffs[m:])
+def s2_refold_identity_holds(S, S2, m) -> bool:
+    """p * S2[i] must equal the sum of S's coefficients over exponents
+    congruent to i mod m, and S2 must vanish from m on."""
+    p = S.p
+    return all(
+        p * c == sum(S.coeffs[i::m]) for i, c in enumerate(S2.coeffs[:m])
+    ) and not any(S2.coeffs[m:])

@@ -19,7 +19,7 @@ from .arith import (
     primitive_root,
 )
 from .cyclotomic import CycInt, lambda_element, root_values, shift_norms
-from .groupring import fp_gr_eval_powers, orbit_sums, polynomial_S2
+from .groupring import fp_gr_eval_powers, orbit_sums, polynomial_P, polynomial_S2
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
         raise ValueError(f"p={p} is not an odd prime")
     if v is None:
         v = primitive_root(p)
-    s2 = polynomial_S2(p, q, v)
+    s2 = polynomial_S2(polynomial_P(p, v), q)
     f = multiplicative_order(q, p)
     m = (p - 1) // f
     coeffs = s2.coeffs[:m]
@@ -90,7 +90,7 @@ def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
         raise ValueError("p = 3 gives f = 1, outside the f > 1 hypothesis")
     if v is None:
         v = primitive_root(p)
-    even_orbit, odd_orbit = orbit_sums(p, v, 2)
+    even_orbit, odd_orbit = orbit_sums(polynomial_P(p, v), 2)
     if even_orbit % p or odd_orbit % p:
         raise VerificationError("orbit sums must be divisible by p")
     sigma = even_orbit // p - odd_orbit // p

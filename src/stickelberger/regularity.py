@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
-from .groupring import fp_gr_eval, fp_gr_eval_powers, orbit_sums, polynomial_Q
+from .groupring import fp_gr_eval, fp_gr_eval_powers, orbit_sums, polynomial_P, polynomial_Q
 
 # B_0, B_1, ... computed on demand and never shrunk.
 _bernoulli_cache = [Fraction(1)]
@@ -147,7 +147,7 @@ def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:
         raise ValueError("hypothesis requires (p-1)/2 odd, i.e. p = 3 mod 4")
     if v is None:
         v = primitive_root(p)
-    s1, s2 = orbit_sums(p, v, 2)
+    s1, s2 = orbit_sums(polynomial_P(p, v), 2)
     value = fp_gr_eval(polynomial_Q(p, v), canon_power(v, (p - 1) // 2, p))
     big_v = -(s1 - s2)
     ok = (

@@ -14,7 +14,6 @@ from stickelberger.arith import is_prime, primitive_root
 from stickelberger.cli import main
 from stickelberger.gauss import build_record
 from stickelberger.groupring import (
-    delta_coeffs,
     polynomial_P,
     polynomial_Q,
     polynomial_Q1_factorization,
@@ -44,12 +43,13 @@ def test_criterion_1_stickelberger_identity_suite():
     ok = True
     for p in PRIMES_500:
         v = primitive_root(p)
-        deltas = delta_coeffs(p, v)
-        _, q1_ok = polynomial_Q1_factorization(p, v)
+        big_p, q_elt = polynomial_P(p, v), polynomial_Q(p, v)
+        deltas = list(q_elt.coeffs)
+        _, q1_ok = polynomial_Q1_factorization(q_elt, v)
         ok = (
             ok
-            and stickelberger_S(p, v) == polynomial_P(p, v)
-            and q_identity_holds(p, v)
+            and stickelberger_S(p, v) == big_p
+            and q_identity_holds(big_p, q_elt, v)
             and deltas[0] == 0
             and all(-p < d <= 0 for d in deltas)
             and q1_ok
@@ -140,10 +140,11 @@ def test_criterion_6_section5_suite():
     ok = True
     for p in (x for x in PRIMES_500 if x <= 200):
         v = primitive_root(p)
+        s, big_p = stickelberger_S(p, v), polynomial_P(p, v)
         for f in sorted(d for d in range(2, p) if (p - 1) % d == 0):
             q = smallest_prime_with_order(p, f)
-            polynomial_S2(p, q, v)  # integrality asserted inside
-            ok = ok and s2_refold_identity_holds(p, q, v)
+            s2 = polynomial_S2(big_p, q)  # integrality asserted inside
+            ok = ok and s2_refold_identity_holds(s, s2, (p - 1) // f)
     for p in PRIMES_500:
         if p % 4 == 3 and p > 3:
             ok = ok and half_degree_corollary(p).verdict

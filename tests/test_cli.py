@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stickelberger import gauss
+from stickelberger import cli, gauss, groupring
 from stickelberger.cli import (
     LIMITS,
     MAX_FIELD_ORDER,
@@ -326,6 +327,53 @@ def test_gauss_verify_digest(pair):
     code, text = run_cli(["gauss", "verify", "-p", str(pair[0]), "-q", str(pair[1])])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == GAUSS_VERIFY_SHA256[pair]
+
+
+# sha256 of the group-ring commands at a wide p, beyond their p = 5 and
+# p = 7 goldens, recorded before S, P, Q and S2 were each built once per run.
+GROUP_RING_SHA256 = {
+    ("stickelberger", "show", "-p", "9973", "-q", "2"):
+        "93a2247f8f9a0457ff7dd94609db999cc4a6464a30965cc96b3e2f424d5549d1",
+    ("principality", "test", "-p", "9973", "-q", "5"):
+        "34f6d898ab142e9979b1d50b83328eb6082aa2fcca4f72e832a4b9a5f9d66b5b",
+    ("principality", "corollary", "-p", "9967"):
+        "3889077dd65f9be5546fe8f9d98979c5f84bbe0d316c332ce6d3a6f8b2cca354",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GROUP_RING_SHA256))
+def test_group_ring_digest(argv):
+    code, text = run_cli(list(argv))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GROUP_RING_SHA256[argv]
+
+
+def test_show_builds_each_group_ring_element_once(monkeypatch):
+    # two power tables: P's inverse powers and the powers behind S's
+    # discrete logs; Q's builder is the one pass of the delta loop
+    counts = Counter()
+
+    def counted(name, build):
+        def wrapper(*args):
+            counts[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("_power_table", "stickelberger_S", "polynomial_P", "polynomial_Q", "polynomial_S2"):
+        build = getattr(groupring, name)
+        for module in (groupring, cli):
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted(name, build))
+    code, _ = run_cli(["stickelberger", "show", "-p", "101", "-q", "3"])
+    assert code == 0
+    assert counts == {
+        "_power_table": 2,
+        "stickelberger_S": 1,
+        "polynomial_P": 1,
+        "polynomial_Q": 1,
+        "polynomial_S2": 1,
+    }
 
 
 def _run_optimized(args):

@@ -40,7 +40,7 @@ from stickelberger.gauss import (
     pi_adic_profile,
     resolvent_form,
 )
-from stickelberger.groupring import polynomial_S2
+from stickelberger.groupring import polynomial_P, polynomial_S2
 from reference import ff_elements, power_in_zeta_pq
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
@@ -221,7 +221,7 @@ class TestInertStructure:
         # recomputed outside gauss_sum, then read from the record's checks
         record = build_record(*pair)
         p, q, f = record.p, record.q, record.f
-        weight = polynomial_S2(p, q, record.v).coefficient_sum()
+        weight = polynomial_S2(polynomial_P(p, record.v), q).coefficient_sum()
         assert abs(norm(record.g_cyc)) == q ** (f * weight)
         assert record.g * record.g.conj() == q**f
         assert record.checks["norm_g_equals_q_to_s2_weight"]

@@ -4,7 +4,6 @@ from reference import inverse_powers_by_term, primitive_roots, smallest_prime_wi
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
 from stickelberger.groupring import (
     GroupRingElt,
-    delta_coeffs,
     fp_gr_eval,
     orbit_sums,
     polynomial_P,
@@ -63,23 +62,33 @@ class TestP:
         for v in primitive_roots(p):
             assert list(polynomial_P(p, v).coeffs) == inverse_powers_by_term(p, v)
 
+    @pytest.mark.parametrize("p", PRIMES_TO_100)
+    def test_rejects_a_v_of_order_half_p_minus_one(self, p):
+        # the square of a primitive root has order (p-1)/2: its inverse
+        # powers return to 1 only at index (p-1)/2, the latest index at
+        # which a v that is not primitive can return
+        v = primitive_root(p) ** 2 % p
+        with pytest.raises(ValueError, match=f"is not a primitive root mod {p}"):
+            polynomial_P(p, v)
+
     @pytest.mark.parametrize("p", PRIMES_TO_60)
     def test_orbit_sums_add_the_inverse_powers_of_each_coset(self, p):
         for v in primitive_roots(p):
             terms = inverse_powers_by_term(p, v)
+            big_p = polynomial_P(p, v)
             for m in (d for d in range(1, p) if (p - 1) % d == 0):
                 expected = [sum(terms[i + j * m] for j in range((p - 1) // m)) for i in range(m)]
-                assert orbit_sums(p, v, m) == expected
+                assert orbit_sums(big_p, m) == expected
 
 
 class TestDelta:
     def test_example_p5(self):
-        assert delta_coeffs(5, 2) == [0, -1, -1, 0]
+        assert list(polynomial_Q(5, 2).coeffs) == [0, -1, -1, 0]
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_bounds_and_delta0(self, p):
         v = primitive_root(p)
-        deltas = delta_coeffs(p, v)
+        deltas = list(polynomial_Q(p, v).coeffs)
         assert deltas[0] == 0
         assert all(-p < d <= 0 for d in deltas)
 
@@ -90,7 +99,7 @@ class TestDelta:
         from stickelberger.arith import canon_power
 
         floors = [-((canon_power(v, -i, p) * v) // p) for i in range(p - 1)]
-        assert delta_coeffs(p, v) == floors
+        assert list(polynomial_Q(p, v).coeffs) == floors
 
 
 class TestQ:
@@ -106,7 +115,12 @@ class TestQ:
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_identity_exact(self, p):
-        assert q_identity_holds(p, primitive_root(p))
+        v = primitive_root(p)
+        assert q_identity_holds(polynomial_P(p, v), polynomial_Q(p, v), v)
+
+    def test_identity_fails_on_a_wrong_Q(self):
+        wrong_q = polynomial_Q(5, 2) + GroupRingElt.sigma_power(5, 3)
+        assert not q_identity_holds(polynomial_P(5, 2), wrong_q, 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_value_at_one(self, p):
@@ -122,24 +136,25 @@ class TestQ:
 
 class TestQ1:
     def test_example_p5(self):
-        q1, ok = polynomial_Q1_factorization(5, 2)
+        q1, ok = polynomial_Q1_factorization(polynomial_Q(5, 2), 2)
         assert ok
         assert q1.coeffs == (0, -1, 0, 0)  # Q1 = -sigma
 
     def test_example_p3(self):
-        q1, ok = polynomial_Q1_factorization(3, 2)
+        q1, ok = polynomial_Q1_factorization(polynomial_Q(3, 2), 2)
         assert ok
         assert q1.coeffs == (0, -1)
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_factorization_holds(self, p):
-        _, ok = polynomial_Q1_factorization(p, primitive_root(p))
+        v = primitive_root(p)
+        _, ok = polynomial_Q1_factorization(polynomial_Q(p, v), v)
         assert ok
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_delta_pairing(self, p):
         v = primitive_root(p)
-        deltas = delta_coeffs(p, v)
+        deltas = list(polynomial_Q(p, v).coeffs)
         half = (p - 1) // 2
         for i in range(half):
             assert deltas[i + half] == 1 - v - deltas[i]
@@ -147,18 +162,18 @@ class TestQ1:
 
 class TestS2:
     def test_examples(self):
-        assert polynomial_S2(7, 2, 3).coeffs[:2] == (1, 2)
-        assert polynomial_S2(5, 3, 2).coeffs[:1] == (2,)
+        assert polynomial_S2(polynomial_P(7, 3), 2).coeffs[:2] == (1, 2)
+        assert polynomial_S2(polynomial_P(5, 2), 3).coeffs[:1] == (2,)
 
     def test_rejects_split_q(self):
         with pytest.raises(ValueError):
-            polynomial_S2(5, 11, 2)
+            polynomial_S2(polynomial_P(5, 2), 11)
 
     @pytest.mark.parametrize("v", [2, 4, 6, 7, 14])
     def test_rejects_a_v_that_is_not_a_primitive_root(self, v):
         # mod 7: 2 and 4 have order 3, 6 has order 2, 7 and 14 are 0
         with pytest.raises(ValueError, match="is not a primitive root mod 7"):
-            polynomial_S2(7, 2, v)
+            polynomial_S2(polynomial_P(7, v), 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_60)
     def test_every_primitive_root_and_inert_q_below_200(self, p):
@@ -172,32 +187,41 @@ class TestS2:
                 blocks = [sum(canon_power(v, -(i + j * m), p) for j in range(f)) for i in range(m)]
                 assert all(block % p == 0 for block in blocks)
                 expected = [block // p for block in blocks] + [0] * (p - 1 - m)
-                assert list(polynomial_S2(p, q, v).coeffs) == expected
+                assert list(polynomial_S2(polynomial_P(p, v), q).coeffs) == expected
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_integral_and_refolds(self, p):
         # three smallest q per f-class is covered by the acceptance suite;
         # here: every divisor class once
         v = primitive_root(p)
+        s, big_p = stickelberger_S(p, v), polynomial_P(p, v)
         for f in sorted(
             {d for d in range(2, p) if (p - 1) % d == 0}
         ):
             q = smallest_prime_with_order(p, f)
-            s2 = polynomial_S2(p, q, v)
-            assert s2_refold_identity_holds(p, q, v)
+            s2 = polynomial_S2(big_p, q)
+            assert s2_refold_identity_holds(s, s2, (p - 1) // f)
             assert p * s2.coefficient_sum() == p * (p - 1) // 2
+
+    def test_refold_fails_on_a_wrong_S2(self):
+        s2 = polynomial_S2(polynomial_P(7, 3), 2)
+        s, m = stickelberger_S(7, 3), 2
+        assert s2_refold_identity_holds(s, s2, m)
+        assert not s2_refold_identity_holds(s, s2 + GroupRingElt.sigma_power(7, 0), m)
+        # a coefficient beyond m breaks the fold too
+        assert not s2_refold_identity_holds(s, s2 + GroupRingElt.sigma_power(7, m), m)
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_three_smallest_q_per_class(self, p):
         v = primitive_root(p)
-        from stickelberger.arith import multiplicative_order
+        s, big_p = stickelberger_S(p, v), polynomial_P(p, v)
 
         for f in {d for d in range(2, p) if (p - 1) % d == 0}:
             found = 0
             q = 2
             while found < 3 and q < 10_000:
                 if q != p and is_prime(q) and multiplicative_order(q, p) == f:
-                    assert s2_refold_identity_holds(p, q, v)
+                    assert s2_refold_identity_holds(s, polynomial_S2(big_p, q), (p - 1) // f)
                     found += 1
                 q += 1
             assert found == 3
