@@ -57,15 +57,20 @@ MAX_SCAN_PMAX = 10_000
 #   4.0 s, and beyond it (757, 3) took 3.5 s (build_record in a fresh
 #   process), 2.3 s of it in g_cyc ** p.  It caps that power's size and
 #   keeps the slowest p-bounded pairs measured under about 5 s.
-# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: the inert
-#   (13, 1013), whose walk visits 1013^2 field elements, took 4.6 s.  Split
-#   pairs cost less: (113, 227) took 0.64 s, and beyond the bound (131, 263)
-#   took 0.70 s and (173, 347) 1.7 s.
-# - q^f, the number of field elements the character walk visits; (41, 2)
-#   walks 2^20 of them in 19 s, (73, 3) 3^12 in 8 s.
+# - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: split pairs with
+#   large p cost the most, (239, 479) took 4.2 s, and beyond the bound
+#   (251, 503) took 6.4 s; small p costs less, (3, 59971) took 3.6 s.
+#   The inert (571, 109), 61560 entries, took 4.4 s, most of it in
+#   g_cyc ** p and norm(g_cyc); (13, 1013) took 0.24 s (5.7 s with the
+#   walk of one field product per element).
+# - q^f, the number of field elements: the character walk takes one step
+#   per coset of F_q^*, (q^f-1)/(q-1) steps, so q = 2 walks the most.
+#   (337, 2), a field of 2^21 elements, took 4.1 s, (41, 2) 1.5 s (23 s
+#   with the walk of one product per element) and (73, 3) 0.39 s (9.1 s);
+#   beyond the bound (683, 2) took 8.9 s.
 MAX_GAUSS_P = 700
-MAX_RING_ENTRIES = 30_000
-MAX_FIELD_ORDER = 2**20
+MAX_RING_ENTRIES = 120_000
+MAX_FIELD_ORDER = 2**21
 
 # Largest -p and --bound that `principality probe` accepts.  A candidate's
 # norm has about p^2 bits and most of its cost is Miller-Rabin on it: in

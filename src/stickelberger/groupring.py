@@ -83,15 +83,16 @@ def stickelberger_S(p, v) -> GroupRingElt:
     """S = sum_t t * w_t^(-1) translated into sigma-powers.
 
     w_t: zeta -> zeta^t, and w_t^(-1) = sigma^i exactly when v^i = t^(-1)
-    mod p, so the coefficient lands at the discrete log of t^(-1).  The
-    logs come from v's own powers, a route apart from P's inverse powers.
+    mod p, so the coefficient lands at the discrete log of t^(-1), which is
+    -dlog(t) mod p-1.  The logs come from v's own powers, a route apart
+    from P's inverse powers.
     """
     dlog = {r: i for i, r in enumerate(_power_table(v, p - 1, p))}
     if len(dlog) != p - 1:
         raise ValueError(f"{v} is not a primitive root mod {p}")
     coeffs = [0] * (p - 1)
     for t in range(1, p):
-        coeffs[dlog[pow(t, -1, p)]] += t
+        coeffs[-dlog[t] % (p - 1)] += t
     return GroupRingElt(p, coeffs)
 
 

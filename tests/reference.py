@@ -3,14 +3,18 @@ against.  Nothing here is used by the package itself.
 """
 
 from itertools import islice
+from operator import mul
 
 from stickelberger.arith import (
     FieldDesc,
+    VerificationError,
     _MR_EXTRA_WITNESSES,
     _MR_PSI,
     _miller_rabin,
     _vectors,
     canon_power,
+    ff_mul,
+    ff_trace,
     is_prime,
     multiplicative_order,
     primitive_root,
@@ -89,6 +93,31 @@ def four_term_grid(p, q, grid) -> BiCycInt:
 def ff_elements(fd: FieldDesc):
     """All nonzero field elements, in the order of the generator search."""
     return islice(_vectors(fd.q, fd.f), 1, None)
+
+
+def full_walk_grid(fd: FieldDesc):
+    """The character grid of `gauss._character_grid` by one field product
+    per element: x = gen^k over k = 0..q^f-2 lands in row -k mod p and in
+    the column of Tr x, the dot product of x with the basis traces.
+    VerificationError unless x first returns to 1 at step q^f-1, which
+    proves that every nonzero element was visited exactly once."""
+    p, q, f = fd.p, fd.q, fd.f
+    one = (1,) + (0,) * (f - 1)
+    basis_traces = [ff_trace(tuple(int(i == j) for j in range(f)), fd) for i in range(f)]
+    grid = [[0] * q for _ in range(p)]
+    x = one
+    for k in range(fd.order - 1):
+        if k and x == one:
+            raise VerificationError(
+                f"generator of F_{q}^{f} has order {k}, not {fd.order - 1}"
+            )
+        grid[-k % p][sum(map(mul, x, basis_traces)) % q] += 1
+        x = ff_mul(x, fd.generator, fd)
+    if x != one:
+        raise VerificationError(
+            f"generator of F_{q}^{f} does not have order {fd.order - 1}"
+        )
+    return grid
 
 
 def smallest_prime_with_order(p: int, f: int, limit: int = 100_000) -> int:

@@ -141,7 +141,8 @@ class TestExitCodes:
         [
             (47, 2, "residue field has 8388608 elements"),
             (101, 2, "residue field has"),
-            (131, 263, "(p-1)(q-1) = 34060"),
+            (683, 2, "residue field has 4194304 elements"),
+            (251, 503, "(p-1)(q-1) = 125500"),
             (757, 3, "-p must be at most"),
         ],
     )
@@ -159,7 +160,9 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: ") and reason in err[0]
 
-    @pytest.mark.parametrize("pair", [(41, 2), (13, 1013), (631, 43), (3, 7)])
+    @pytest.mark.parametrize(
+        "pair", [(41, 2), (13, 1013), (631, 43), (3, 7), (337, 2), (239, 479), (571, 109)]
+    )
     def test_gauss_pairs_at_the_bounds_are_accepted(self, pair):
         assert _gauss_size_error(*pair) is None
         assert pair[0] <= LIMITS["gauss verify"]["-p"]
@@ -319,6 +322,11 @@ GAUSS_VERIFY_SHA256 = {
     # 60 labels, two-digit ones among them: pins the label rule and the
     # order of the relabel matches
     (61, 367): "4712d71c26303855ddad7ffffc104526206eded39e800905c5fe05909922dcee",
+    # the slowest walks before the trace recurrence, recorded with the
+    # walk of one field product per element
+    (13, 1013): "0abf936bd3018da6d52ae4783de29cb708a9356b2de49a9dea2647acdf13b3de",
+    (73, 3): "105254b9914da555e51fc55420fd9f1ee3b5db98866b494e2f1c832d15a1a974",
+    (41, 2): "92aafc70da568003db3b909a19b5d5f428522ba35ef8aa24b8893319f316a604",
 }
 
 
@@ -434,6 +442,24 @@ def test_walk_check_survives_optimized_mode():
     )
     done = _run_optimized(["-c", script])
     assert done.returncode == 1
+    assert done.stderr.startswith("error: verification failed: generator")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_low_order_generator_survives_optimized_mode():
+    # gen^2 has order (29^3 - 1)/2: only the cofactor check for 2 sees it
+    script = (
+        "import dataclasses, sys, stickelberger.gauss as g, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = g.field_make\n"
+        "def bad(p, q):\n"
+        "    fd = real(p, q)\n"
+        "    return dataclasses.replace(fd, generator=g.ff_mul(fd.generator, fd.generator, fd))\n"
+        "g.field_make = bad\n"
+        "sys.exit(c.main(['gauss', 'verify', '-p', '13', '-q', '29']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: verification failed: generator")
     assert len(done.stderr.splitlines()) == 1
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -27,7 +28,7 @@ from stickelberger.cyclotomic import (
     norm,
     zeta_p_power,
 )
-from stickelberger import cyclotomic, gauss
+from stickelberger import arith, cyclotomic, gauss
 from stickelberger.cli import SUITE_INERT_PAIRS, SUITE_SPLIT_PAIRS
 from stickelberger.gauss import (
     _character_grid,
@@ -41,7 +42,7 @@ from stickelberger.gauss import (
     resolvent_form,
 )
 from stickelberger.groupring import polynomial_P, polynomial_S2
-from reference import ff_elements, power_in_zeta_pq
+from reference import ff_elements, full_walk_grid, power_in_zeta_pq
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
 INERT_PAIRS = [(5, 3), (7, 2), (11, 3), (5, 7)]
@@ -316,6 +317,10 @@ def per_element_grid(fd):
     return grid
 
 
+# fields of q^f <= 10^5 elements, q > 2, walked one step per coset of F_q^*
+COSET_FIELDS = [(13, 29), (3, 101), (17, 13), (31, 5), (5, 19), (7, 3)]
+
+
 class TestCharacterWalk:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_equals_per_element_grid_on_every_small_field(self, p):
@@ -323,9 +328,16 @@ class TestCharacterWalk:
         for q in range(2, 4097):
             if is_prime(q) and q != p and q ** multiplicative_order(q, p) <= 4096:
                 fd = field_make(p, q)
-                assert _character_grid(fd) == per_element_grid(fd), (p, q)
+                grid = _character_grid(fd)
+                assert grid == full_walk_grid(fd) == per_element_grid(fd), (p, q)
                 fields += 1
         assert fields > 40
+
+    @pytest.mark.parametrize("pair", COSET_FIELDS)
+    def test_coset_walk_equals_full_walk(self, pair):
+        fd = field_make(*pair)
+        assert fd.f > 1 and fd.q > 2 and fd.order <= 10**5
+        assert _character_grid(fd) == full_walk_grid(fd)
 
     @pytest.mark.parametrize(
         "generator",
@@ -340,6 +352,54 @@ class TestCharacterWalk:
         bad = dataclasses.replace(fd, generator=generator(fd))
         with pytest.raises(VerificationError, match="order"):
             _character_grid(bad)
+
+    @pytest.mark.parametrize("pair", [(13, 29), (7, 2), (5, 11)])
+    def test_every_generator_of_lower_order_raises(self, pair):
+        # gen^ell has order (q^f-1)/ell: one cofactor check misses it
+        fd = field_make(*pair)
+        for ell in arith.factorize(fd.order - 1):
+            bad = dataclasses.replace(fd, generator=arith.ff_pow(fd.generator, ell, fd))
+            with pytest.raises(VerificationError, match="order"):
+                _character_grid(bad)
+            with pytest.raises(VerificationError, match="order"):
+                full_walk_grid(bad)
+
+    @pytest.mark.parametrize("pair", [(13, 29), (7, 2), (5, 11), (13, 2)])
+    def test_perturbed_recurrence_raises(self, pair, monkeypatch):
+        fd = field_make(*pair)
+        real = gauss._recurrence
+        for i in range(fd.f):
+            for delta in {1, fd.q - 1}:
+
+                def perturbed(powers, q):
+                    a = real(powers, q)
+                    a[i] = (a[i] + delta) % q
+                    return a
+
+                monkeypatch.setattr(gauss, "_recurrence", perturbed)
+                with pytest.raises(VerificationError, match="recurrence"):
+                    _character_grid(fd)
+
+    def test_recurrence_of_an_element_of_lower_degree_raises(self):
+        # 5 lies in F_29, so its powers span one dimension of F_(29^3)
+        one, five = (1, 0, 0), (5, 0, 0)
+        with pytest.raises(VerificationError, match="degree below 3"):
+            gauss._recurrence([one, five, (25, 0, 0), (125 % 29, 0, 0)], 29)
+        assert gauss._recurrence([(1,), five[:1]], 29) == [5]
+
+    def test_walk_makes_a_few_hundred_field_products(self, monkeypatch):
+        # the full walk makes one product per field element: 1026168 here
+        fd = field_make(13, 1013)
+        calls = Counter()
+        real = arith._poly_mulmod
+
+        def counted(*args):
+            calls["product"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_poly_mulmod", counted)
+        _character_grid(fd)
+        assert 0 < calls["product"] <= 300
 
 
 def jacobi_G(fd):
