@@ -7,6 +7,7 @@ that pins down the p-th power residue character.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
@@ -171,16 +172,33 @@ def canon_power(v: int, k: int, p: int) -> int:
     return r
 
 
+# struct codes of the slot widths packed by one struct call; wider slots
+# take one int.to_bytes call each, which beat widening them to 8 bytes
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _slot_width(bits):
+    """Bytes in a slot that holds `bits` bits; 3 is widened to 4."""
+    width = (bits + 7) // 8
+    return 4 if width == 3 else width
+
+
 def _pack(xs, width):
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, xs, repeat(width), repeat("little"))), "little"
-    )
+    code = _STRUCT_CODES.get(width)
+    if code:
+        raw = struct.pack(f"<{len(xs)}{code}", *xs)
+    else:
+        raw = b"".join(map(int.to_bytes, xs, repeat(width), repeat("little")))
+    return int.from_bytes(raw, "little")
 
 
 def _unpack(n, width, count):
     """The first `count` width-byte slots of a nonnegative packed integer."""
     size = width * count
     raw = (n & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return struct.unpack(f"<{count}{code}", raw)
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, size, width)]
 
 
@@ -195,7 +213,7 @@ def packed_mul(a, b, p: int, stop: int, start: int = 0) -> list:
     a, b = a[:stop], b[:stop]
     if not a or not b:
         return [0] * (stop - start)
-    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    width = _slot_width((min(len(a), len(b)) * (p - 1) ** 2).bit_length())
     window = (_pack(a, width) * _pack(b, width)) >> (8 * width * start)
     return [c % p for c in _unpack(window, width, stop - start)]
 
@@ -224,7 +242,7 @@ def signed_packed_mul(a, b) -> list:
     )
     if not bound:
         return [0] * count
-    width = (bound.bit_length() + 8) // 8
+    width = _slot_width(bound.bit_length() + 1)
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     product = _pack_signed(a, width) * _pack_signed(b, width) + offset

@@ -3,12 +3,13 @@ scan of the quotient polynomial Q over F_p, and the alternating-sum fact
 that rules out a vanishing B_((p+1)/2) when (p-1)/2 is odd.
 
 Both halves of the scan are quasi-linear in p.  The oracle reads B_k mod p
-off the inverse of the power series (e^x - 1)/x, and the scanner gets every
-value Q(v^n) from one chirp correlation.  The two routes share only the
-packed-product helper `arith.packed_mul`, which tests pin against the
-schoolbook product; the exact-rational `bernoulli_fraction` recurrence stays
-as the single-index route, and tests cross-check the oracle against it.
-Every odd root the scanner reports is re-evaluated by Horner's rule.
+off the inverse of the even series 2(cosh x - 1)/x^2 in y = x^2, of length
+(p-1)/2, by x^2/(cosh x - 1) = -2 sum_j (2j-1) B_2j x^2j/(2j)!; the scanner
+gets every value Q(v^n) from one chirp correlation.  The two routes share
+only the packed-product helper `arith.packed_mul`, which tests pin against
+the schoolbook product; the exact-rational `bernoulli_fraction` recurrence
+stays as the single-index route, and tests cross-check the oracle against
+it.  Every odd root the scanner reports is re-evaluated by Horner's rule.
 """
 
 from dataclasses import dataclass
@@ -65,21 +66,23 @@ def _series_inverse(e, p, n):
 def bernoulli_mod_p(p: int) -> dict:
     """k -> B_k mod p for every even k in [2, p-3].
 
-    x / (e^x - 1) = sum B_k x^k / k!, so B_k = k! r_k with r the inverse
-    of (e^x - 1)/x = sum x^k / (k+1)! mod (p, x^(p-2)).  Only j! with
-    j <= p-2 occur, and those are units mod p.
+    x^2 / (cosh x - 1) = -2 sum_j (2j-1) B_2j x^2j / (2j)!, so in y = x^2,
+    with r the inverse of e(y) = 2 (cosh x - 1) / x^2 = sum_j 2 y^j / (2j+2)!
+    mod (p, y^m) and m = (p-1)/2, B_2j = -2j (2j-2)! r_j.  Only (2j)! with
+    2j <= p-1 occur, and those are units mod p.
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    factorials = [1] * (p - 1)  # j! for j in [0, p-2]
-    for j in range(1, p - 1):
-        factorials[j] = factorials[j - 1] * j % p
-    inverse_factorials = [1] * (p - 1)
-    inverse_factorials[p - 2] = pow(factorials[p - 2], -1, p)
-    for j in range(p - 2, 1, -1):
-        inverse_factorials[j - 1] = inverse_factorials[j] * j % p
-    r = _series_inverse(inverse_factorials[1:], p, p - 2)
-    return {k: factorials[k] * r[k] % p for k in range(2, p - 2, 2)}
+    m = (p - 1) // 2
+    even_factorials = [1] * (m + 1)  # (2j)! for j in [0, m]
+    for j in range(1, m + 1):
+        even_factorials[j] = even_factorials[j - 1] * (2 * j - 1) * (2 * j) % p
+    e = [0] * m  # e_j = 2 / (2j+2)!
+    e[m - 1] = 2 * pow(even_factorials[m], -1, p) % p
+    for j in range(m - 1, 0, -1):
+        e[j - 1] = e[j] * (2 * j + 1) * (2 * j + 2) % p
+    r = _series_inverse(e, p, m)
+    return {2 * j: -2 * j * even_factorials[j - 1] * r[j] % p for j in range(1, m)}
 
 
 def irregular_indices(p: int) -> frozenset:

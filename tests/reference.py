@@ -29,6 +29,7 @@ from stickelberger.cyclotomic import (
 )
 from stickelberger.groupring import GroupRingElt
 from stickelberger.principality import _graded_lex_vectors
+from stickelberger.regularity import _series_inverse
 
 
 def schoolbook_cyc_mul(a: CycInt, b: CycInt) -> CycInt:
@@ -226,3 +227,19 @@ def hensel_roots_by_lifts(p, q):
     residues = sorted(pow(base, t, q) for t in range(1, p))
     labels = {pow(residues[0], t, q): t for t in range(1, p)}
     return sorted((labels[r], _lift_root(p, q, r, 2 * p + 4)) for r in residues)
+
+
+def bernoulli_mod_p_full_series(p):
+    """k -> B_k mod p for every even k in [2, p-3], from the inverse r of
+    the full series (e^x - 1)/x = sum x^k / (k+1)! mod (p, x^(p-2)):
+    x / (e^x - 1) = sum B_k x^k / k!, so B_k = k! r_k.  It computes the odd
+    coefficients too, which `bernoulli_mod_p` never reads."""
+    factorials = [1] * (p - 1)  # j! for j in [0, p-2]
+    for j in range(1, p - 1):
+        factorials[j] = factorials[j - 1] * j % p
+    inverse_factorials = [1] * (p - 1)
+    inverse_factorials[p - 2] = pow(factorials[p - 2], -1, p)
+    for j in range(p - 2, 1, -1):
+        inverse_factorials[j - 1] = inverse_factorials[j] * j % p
+    r = _series_inverse(inverse_factorials[1:], p, p - 2)
+    return {k: factorials[k] * r[k] % p for k in range(2, p - 2, 2)}

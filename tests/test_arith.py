@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from stickelberger.arith import (
     _is_irreducible,
     _miller_rabin,
     _poly_powmod,
+    _slot_width,
     canon_power,
     factorize,
     ff_mul,
@@ -195,6 +197,35 @@ class TestPackedMul:
         assert packed_mul(full, full, p, 127) == schoolbook_mul(full, full, p, 127)
         assert packed_mul([], full, p, 3) == [0, 0, 0]
 
+    # (computed slot width in bytes, p): eight entries of p - 1 make the
+    # product coefficient 8 (p-1)^2 of exactly 8 * width bits, a full top
+    # slot.  Widths 1, 2 and 4 are packed by struct, 3 is widened to 4.
+    @pytest.mark.parametrize(
+        "width,p",
+        [
+            (1, 5),
+            (2, 89),
+            (3, 1447),
+            (4, 23167),
+            (5, 370723),
+            (7, 94906249),
+            (8, 1518500213),
+            (9, 24296003933),
+        ],
+    )
+    def test_slot_width_boundaries(self, width, p):
+        top = p - 1
+        assert (8 * top**2).bit_length() == 8 * width
+        assert _slot_width(8 * width) == (4 if width == 3 else width)
+        full = [top] * 8
+        mixed = [(i * i * 7919 + i) % p for i in range(20)]
+        for a, b in ((full, full), (full, [top] * 20), (mixed, full)):
+            length = len(a) + len(b) - 1
+            for start, stop in ((0, length), (1, length), (7, 9), (length - 1, length)):
+                assert packed_mul(a, b, p, stop, start) == (
+                    schoolbook_mul(a, b, p, stop)[start:]
+                )
+
 
 @st.composite
 def signed_product_case(draw):
@@ -228,6 +259,26 @@ class TestSignedPackedMul:
         assert signed_packed_mul([big] * 3, [big, 1]) == [
             big * big, big * big + big, big * big + big, big,
         ]
+
+    # computed slot width in bytes: eight entries of +-m with 8 m^2 of
+    # exactly 8 * width - 1 bits, so the sign bit fills the top slot
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9])
+    def test_slot_width_boundaries(self, width):
+        m = isqrt((2 ** (8 * width - 1) - 1) // 8)
+        assert (8 * m * m).bit_length() == 8 * width - 1
+        assert _slot_width(8 * width) == (4 if width == 3 else width)
+        alternating = [m, -m] * 4
+        for a, b in (
+            ([m] * 8, [m] * 8),
+            ([m] * 8, [-m] * 8),
+            (alternating, alternating),
+            ([-m] * 8, [m, 0, -m] * 5),
+        ):
+            expected = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    expected[i + j] += x * y
+            assert signed_packed_mul(a, b) == expected
 
 
 # Every pair with p < 80, q < 60 and at most 2^16 field elements.

@@ -346,6 +346,12 @@ GROUP_RING_SHA256 = {
         "34f6d898ab142e9979b1d50b83328eb6082aa2fcca4f72e832a4b9a5f9d66b5b",
     ("principality", "corollary", "-p", "9967"):
         "3889077dd65f9be5546fe8f9d98979c5f84bbe0d316c332ce6d3a6f8b2cca354",
+    # recorded with the full-length inverse of (e^x - 1)/x as the Bernoulli
+    # oracle and one int.to_bytes call per packed slot
+    ("bernoulli", "--p", "9973"):
+        "3aa02d57f2d3392a9808aca73d89badb7de1f20a712a363050481a7d845555ed",
+    ("scan-irregular", "--pmax", "2000"):
+        "70e10f04db74abe7de126d06887f445ad2ce493b113163984f169653b897b8c0",
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
-from reference import primitive_roots
+from reference import bernoulli_mod_p_full_series, primitive_roots
 from stickelberger.cli import main
 from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
 from stickelberger.regularity import (
@@ -59,6 +59,12 @@ class TestBernoulliOracle:
         with pytest.raises(ValueError):
             bernoulli_mod(12, 7)
 
+    def test_irregular_pair_691_12(self):
+        # B_12 = -691/2730, and 691 divides B_200 as well
+        assert bernoulli_mod(12, 691) == 0
+        assert bernoulli_mod_p(691)[12] == 0
+        assert irregular_indices(691) == frozenset({12, 200})
+
     def test_range_is_even_k_up_to_p_minus_3(self):
         table = bernoulli_mod_p(13)
         assert sorted(table) == [2, 4, 6, 8, 10]
@@ -80,6 +86,11 @@ PRIMES_TO_300 = [p for p in range(3, 301) if is_prime(p)]
 @pytest.mark.parametrize("p", PRIMES_TO_300)
 def test_series_oracle_matches_fraction_oracle(p):
     assert bernoulli_mod_p(p) == {k: bernoulli_mod(k, p) for k in range(2, p - 2, 2)}
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 2000) if is_prime(p)])
+def test_half_length_oracle_matches_full_series(p):
+    assert bernoulli_mod_p(p) == bernoulli_mod_p_full_series(p)
 
 
 # the smallest primitive root of every prime to 300, and every primitive
