@@ -8,15 +8,17 @@ exceeds its entry in LIMITS, and a `gauss verify` pair beyond
 MAX_RING_ENTRIES or MAX_FIELD_ORDER.
 Reports carry no timestamps and all iteration orders are fixed, so
 identical invocations produce identical bytes regardless of the --jobs
-setting.  Every JSON report goes through one encoder, `_encode`.
+setting.  Every JSON report goes through one writer, `_json_text`, and
+every report object through one encoder, `_encode`.
 """
 
 import argparse
 import contextlib
-import json
+import math
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .arith import (
@@ -73,11 +75,15 @@ MAX_RING_ENTRIES = 120_000
 MAX_FIELD_ORDER = 2**21
 
 # Largest -p and --bound that `principality probe` accepts.  A candidate's
-# norm has about p^2 bits and most of its cost is Miller-Rabin on it: in
-# process, a candidate costs about 0.017 ms at p = 7 (half of it is_prime),
-# 0.044 ms at p = 11 and 1.6 ms at p = 31 (over 80% is_prime).
-# -p 11 --bound 100000 took 3.7 s; at both bounds, -p 31
-# --bound 100000 took 120 s (cold CLI, 2-vCPU VM, Python 3.11).
+# norm has about p^2 bits and most of its cost is Miller-Rabin on it.  The
+# probe tests each distinct norm once, and about a quarter of the norms
+# repeat, since a candidate and its complex conjugate, also in the sweep
+# for small x, have the same norm.  In process, a candidate costs about
+# 0.013 ms at p = 7 (--bound 30000, 0.17 of its 0.38 s is_prime), 0.032 ms
+# at p = 11 (--bound 20000) and 1.15 ms at p = 31 (--bound 3000, over 80%
+# is_prime).  Cold, -p 11 --bound 100000 took 4.3 s and 35 MB peak RSS;
+# at both bounds, -p 31 --bound 100000 took about 105 s (2-vCPU VM,
+# Python 3.11).
 MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
@@ -147,8 +153,44 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, indent="\n"):
+    """The bytes of json.dumps(obj, indent=2, default=_encode), with each
+    container's items joined into one string.  `indent` is a newline and
+    the indentation of obj's line.  Floats are refused with a TypeError,
+    and dict keys may be str, int, bool or None."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _json_text(_encode(obj), indent)
+
+
+def _json_key(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, int):
+        return '"' + _json_text(key) + '"'
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
 def _json_dump(obj, out):
-    _emit(json.dumps(obj, indent=2, default=_encode), out)
+    _emit(_json_text(obj), out)
 
 
 def _report(obj, out):
@@ -162,8 +204,9 @@ def _coeff_strings(elt):
 
 @contextlib.contextmanager
 def _job_map(jobs):
-    """`map`, or the `map` of a pool of `jobs` worker processes; either
-    yields results in input order."""
+    """`map`, or the `map` of a pool of `jobs` worker processes over a
+    sequence, about four chunks per worker; either yields results in
+    input order."""
     if jobs <= 1:
         yield map
         return
@@ -171,7 +214,9 @@ def _job_map(jobs):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool.map
+        yield lambda fn, items: pool.map(
+            fn, items, chunksize=max(1, math.ceil(len(items) / (4 * jobs)))
+        )
 
 
 def _scan_worker(p):

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stickelberger import cli, gauss, groupring
 from stickelberger.cli import (
@@ -18,11 +19,13 @@ from stickelberger.cli import (
     MAX_PROBE_P,
     MAX_RING_ENTRIES,
     MAX_SCAN_PMAX,
+    _encode,
     _gauss_size_error,
+    _json_text,
     build_parser,
     main,
 )
-from stickelberger.principality import principal_norm_probe
+from stickelberger.principality import HalfDegreeVerdict, ProbeWitness, principal_norm_probe
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -362,6 +365,26 @@ def test_group_ring_digest(argv):
     assert hashlib.sha256(text.encode()).hexdigest() == GROUP_RING_SHA256[argv]
 
 
+# sha256 of `principality probe` stdout beyond the p = 3 golden, recorded
+# before each distinct norm got one primality verdict and before the JSON
+# writer replaced json.dumps; -p 7 --bound 30000 is perfbench's probe.
+PROBE_SHA256 = {
+    ("-p", "7", "--bound", "30000"):
+        "3d6b26ced39741109078d0f055591200beb49e8e6e38202744527f88481c5716",
+    ("-p", "11", "--bound", "20000"):
+        "fa887fd914b0773f2c9aebc01cc419d73005b59420f121376cea13e1f8020dca",
+    ("-p", "31", "--bound", "300"):
+        "2a7f9763d59a232f4443c32b88deb738e5cf9d2821bd491a5edc9973453403f8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PROBE_SHA256))
+def test_probe_digest(argv):
+    code, text = run_cli(["principality", "probe", *argv])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == PROBE_SHA256[argv]
+
+
 def test_show_builds_each_group_ring_element_once(monkeypatch):
     # two power tables: P's inverse powers and the powers behind S's
     # discrete logs; Q's builder is the one pass of the delta loop
@@ -534,6 +557,64 @@ class TestPayloads:
         assert payload["counterexamples"] == []
         assert payload["miller_rabin_witness_count"] == 40
         assert all(w["passes"] for w in payload["witnesses"])
+
+
+_INTS = st.integers() | st.integers(min_value=-(10**300), max_value=10**300)
+_SCALARS = (
+    # st.text draws non-ASCII characters, quotes, backslashes and control
+    # characters
+    st.text()
+    | _INTS
+    | st.booleans()
+    | st.none()
+    | st.frozensets(_INTS)
+    # a frozen report dataclass, written field by field
+    | st.builds(HalfDegreeVerdict, _INTS, _INTS, _INTS, _INTS, st.booleans())
+    # an object with to_json_obj
+    | st.builds(ProbeWitness, _INTS, st.tuples(_INTS, _INTS), _INTS, _INTS, st.booleans())
+)
+_KEYS = st.text() | _INTS | st.booleans() | st.none()
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_KEYS, children),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """`_json_text` against json.dumps(indent=2, default=_encode), the
+    encoder it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_bytes_equal_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=_encode)
+
+    @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"": {}}, [(), {}], frozenset()])
+    def test_empty_containers(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=_encode)
+
+    def test_int_beyond_the_digit_limit_raises_on_both_routes(self):
+        # 4301 digits, one more than int -> str converts by default
+        big = 10**4300
+        for obj in (big, [1, {"k": big}]):
+            with pytest.raises(ValueError):
+                json.dumps(obj, indent=2, default=_encode)
+            with pytest.raises(ValueError):
+                _json_text(obj)
+
+    def test_floats_and_tuple_keys_raise_type_error(self):
+        # json.dumps writes floats, the writer refuses them: reports hold
+        # exact integers only.  Neither takes a tuple key.
+        for obj in (1.5, [0, 2.0], {"x": float("nan")}):
+            with pytest.raises(TypeError):
+                _json_text(obj)
+        assert json.dumps(1.5) == "1.5"
+        for route in (_json_text, json.dumps):
+            with pytest.raises(TypeError):
+                route({(1, 2): 3})
 
 
 def _run_checkout(args, **kwargs):

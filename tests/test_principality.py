@@ -1,6 +1,9 @@
+import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import islice, product
 from pathlib import Path
 
@@ -238,6 +241,88 @@ class TestProbeNormsAgainstConjugateProducts:
         assert shift_counts == [6] * 333 + [5]
         found = [(w.a, w.x_coeffs, w.norm_q, w.residue) for w in report.witnesses]
         assert found == probe_witnesses(7, 2003)
+
+
+class TestNormVerdicts:
+    """One primality verdict per distinct |norm| of the sweep."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_conjugate_partner_has_the_same_norm(self, p):
+        # conj(lambda)^(p+1) = zeta^(-1) * lambda^(p+1), so complex
+        # conjugation maps a + lambda^(p+1) x to a + lambda^(p+1) zeta^(-1) conj(x)
+        rng = random.Random(p)
+        shift = lambda_element(p) ** (p + 1)
+        for _ in range(10):
+            x = CycInt(p, [rng.randint(-3, 3) for _ in range(p - 1)])
+            a = rng.randint(1, p - 1)
+            q1 = shift * x + a
+            partner = shift * CycInt.zeta(p, -1) * x.conj() + a
+            assert q1.conj() == partner
+            assert norm(q1) == norm(partner)
+
+    def test_one_primality_test_per_distinct_norm(self, monkeypatch):
+        calls = Counter()
+        real = principality.is_prime
+
+        def counted(n):
+            calls[n] += 1
+            return real(n)
+
+        monkeypatch.setattr(principality, "is_prime", counted)
+        report = principal_norm_probe(7, 30000)
+        assert report.candidates_tested == 30000
+        assert calls.pop(7) == 1  # the check that p is prime
+        # 22378 distinct norms among 30000 candidates, each tested once
+        assert len(calls) == 22378
+        assert set(calls.values()) == {1}
+
+
+def _repeated_composite_norm(p, search_bound):
+    """The first composite |norm| that two candidates of the sweep share
+    and that fails the power test, with those candidates as (a, x)."""
+    holders = {}
+    for a, x_vec, q1 in probe_sweep(p, search_bound):
+        holders.setdefault(abs(norm(q1)), []).append((a, x_vec))
+    return next(
+        (n, found)
+        for n, found in holders.items()
+        if len(found) == 2 and not is_prime(n) and pow(p, (n - 1) // p, n) != 1
+    )
+
+
+class TestRepeatedNormSabotage:
+    """A composite norm that passes as prime must fail the power test at
+    every candidate that has it, not only at the first."""
+
+    def test_both_candidates_are_counterexamples(self, monkeypatch):
+        n, found = _repeated_composite_norm(7, 300)
+        real = principality.is_prime
+        monkeypatch.setattr(principality, "is_prime", lambda m: m == n or real(m))
+        report = principal_norm_probe(7, 300)
+        bad = [(w.a, w.x_coeffs) for w in report.counterexamples]
+        assert bad == found
+        assert all(w.norm_q == n and not w.passes for w in report.counterexamples)
+
+    def test_cli_exits_1_under_optimized_mode(self):
+        n, found = _repeated_composite_norm(7, 300)
+        script = (
+            "import sys, stickelberger.principality as pr, stickelberger.cli as c\n"
+            "assert False, 'asserts must be stripped'\n"
+            "real = pr.is_prime\n"
+            f"pr.is_prime = lambda m: m == {n} or real(m)\n"
+            "sys.exit(c.main(['principality', 'probe', '-p', '7', '--bound', '300']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            timeout=120,
+        )
+        assert done.returncode == 1 and done.stderr == ""
+        bad = json.loads(done.stdout)["counterexamples"]
+        assert [(w["a"], tuple(w["x_coeffs"])) for w in bad] == found
+        assert all(w["q"] == str(n) and not w["passes"] for w in bad)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
