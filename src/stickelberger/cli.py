@@ -88,10 +88,10 @@ MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
 # Largest -p of the commands that are quasi-linear in p.  At p = 199999,
-# bernoulli took 3.7 s and 45 MB peak RSS, stickelberger show 3.7 s and 194 MB,
-# principality test -q 1199993 (f = 2) 8.9 s and 107 MB, and principality
-# corollary 0.20 s and 26 MB (cold CLI without bytecode caches, median of 3,
-# 2-vCPU VM, Python 3.11).
+# bernoulli took 3.7 s and 45 MB peak RSS, stickelberger show -q 1199993
+# 1.3 s and 138 MB, principality test -q 1199993 (f = 2) 8.9 s and 107 MB,
+# and principality corollary 0.20 s and 26 MB (cold CLI without bytecode
+# caches, median of 3, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
 
 # Largest -q of `stickelberger show` and `principality test`, which need only

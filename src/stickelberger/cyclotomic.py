@@ -140,12 +140,6 @@ class CoeffVector:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def divexact(self, n):
-        """self / n for an integer n that divides every coefficient."""
-        if not self._map(lambda c: c % n).is_zero():
-            raise ValueError(f"coefficients not divisible by {n}")
-        return self._map(lambda c: c // n)
-
 
 class CycInt(CoeffVector):
     """Element of Z[zeta_p] as a length-(p-1) integer coefficient vector."""

@@ -7,10 +7,14 @@ Coefficient i always multiplies sigma^i where sigma: zeta -> zeta^v for
 the chosen primitive root v; exponent arithmetic is mod p-1.
 
 S, P and Q each have one builder from (p, v); S2 and the identity checks
-take the elements they read, so a caller builds each element once.
+take the elements they read, so a caller builds each element once.  The
+checks read coefficients and take no ring product: multiplying by sigma
+is a shift, by v a scale, and by 1 + sigma + ... + sigma^(k-1) a running
+sum over a window of k exponents.
 """
 
-from operator import add
+from itertools import accumulate
+from operator import add, sub
 
 from .arith import (
     VerificationError,
@@ -26,12 +30,6 @@ class GroupRingElt(CoeffVector):
     """Element of Z[G_p] as a length-(p-1) integer vector over sigma^i."""
 
     __slots__ = ()
-
-    @classmethod
-    def sigma_power(cls, p, i, coefficient=1):
-        vec = [0] * (p - 1)
-        vec[i % (p - 1)] = coefficient
-        return cls(p, vec)
 
     def _fold(self, conv):
         """sigma^(p-1) = 1: exponent p-1+i wraps onto i."""
@@ -108,10 +106,10 @@ def polynomial_P(p, v) -> GroupRingElt:
     return GroupRingElt(p, inverse_powers)
 
 
-def orbit_sums(P, m):
-    """[sum_j v^(-(i+jm)) for i < m]: P's coefficients summed over the
-    cosets of m, a divisor of p-1."""
-    return [sum(P.coeffs[i::m]) for i in range(m)]
+def orbit_sums(g, m):
+    """g's coefficients summed over the cosets of m, a divisor of p-1:
+    for P, [sum_j v^(-(i+jm)) for i < m]."""
+    return [sum(g.coeffs[i::m]) for i in range(m)]
 
 
 def polynomial_Q(p, v) -> GroupRingElt:
@@ -137,24 +135,26 @@ def polynomial_Q(p, v) -> GroupRingElt:
 
 
 def q_identity_holds(P, Q, v) -> bool:
-    """Exact check of P * (sigma - v) = p * Q in Z[G_p]."""
-    p = P.p
-    sigma_minus_v = GroupRingElt.sigma_power(p, 1) - GroupRingElt.from_int(p, v)
-    return P * sigma_minus_v == Q * p
+    """Exact check of P * (sigma - v) = p * Q in Z[G_p]: coefficient i of
+    the left side is P_(i-1) - v P_i, indices mod p-1."""
+    p, c = P.p, P.coeffs
+    return Q.p == p and all(
+        prev - v * cur == p * d for prev, cur, d in zip(c[-1:] + c[:-1], c, Q.coeffs)
+    )
 
 
 def polynomial_Q1_factorization(Q, v):
-    """Q1 = (1 - sigma) * (sum_{i<=(p-3)/2} delta_i sigma^i)
-           + (1 - v) sigma^((p-1)/2),
-    together with the verdict of the exact factorization
-    Q = Q1 * (1 + sigma + ... + sigma^((p-3)/2))."""
-    p = Q.p
-    half = (p - 1) // 2
-    low_part = GroupRingElt(p, Q.coeffs[:half] + (0,) * (p - 1 - half))
-    one_minus_sigma = GroupRingElt.from_int(p, 1) - GroupRingElt.sigma_power(p, 1)
-    q1 = one_minus_sigma * low_part + GroupRingElt.sigma_power(p, half, 1 - v)
-    ladder = GroupRingElt(p, [1] * half + [0] * (p - 1 - half))
-    return q1, q1 * ladder == Q
+    """Q1 = (1 - sigma) * (sum_{i<h} delta_i sigma^i) + (1 - v) sigma^h
+    with h = (p-1)/2, that is delta_0, the differences delta_i - delta_(i-1)
+    for 0 < i < h, then 1 - v - delta_(h-1) and zeros; together with the
+    verdict of the exact factorization Q = Q1 * (1 + sigma + ... +
+    sigma^(h-1)), whose coefficient i is the cyclic window sum
+    Q1_(i-h+1) + ... + Q1_i, read off one prefix sum of Q1."""
+    p, d = Q.p, Q.coeffs
+    n, h = p - 1, (p - 1) // 2
+    q1 = [d[0], *map(sub, d[1:h], d[: h - 1]), 1 - v - d[h - 1]] + [0] * (n - h - 1)
+    run = list(accumulate(q1[n - h + 1 :] + q1, initial=0))  # Q1_(k-h+1) at k
+    return GroupRingElt(p, q1), all(b - a == c for a, b, c in zip(run, run[h:], d))
 
 
 def polynomial_S2(P, q) -> GroupRingElt:
@@ -179,7 +179,4 @@ def polynomial_S2(P, q) -> GroupRingElt:
 def s2_refold_identity_holds(S, S2, m) -> bool:
     """p * S2[i] must equal the sum of S's coefficients over exponents
     congruent to i mod m, and S2 must vanish from m on."""
-    p = S.p
-    return all(
-        p * c == sum(S.coeffs[i::m]) for i, c in enumerate(S2.coeffs[:m])
-    ) and not any(S2.coeffs[m:])
+    return [S.p * c for c in S2.coeffs[:m]] == orbit_sums(S, m) and not any(S2.coeffs[m:])

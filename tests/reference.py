@@ -57,6 +57,33 @@ def schoolbook_group_ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     return GroupRingElt(a.p, out)
 
 
+def _sigma_power(p, i, coefficient=1) -> GroupRingElt:
+    """coefficient * sigma^i in Z[G_p]."""
+    vec = [0] * (p - 1)
+    vec[i % (p - 1)] = coefficient
+    return GroupRingElt(p, vec)
+
+
+def q_identity_by_product(P, Q, v) -> bool:
+    """P * (sigma - v) = p * Q through general ring products."""
+    p = P.p
+    return P * (_sigma_power(p, 1) - GroupRingElt.from_int(p, v)) == Q * p
+
+
+def q1_factorization_by_product(Q, v):
+    """Q1 = (1 - sigma) * (sum_{i<=(p-3)/2} delta_i sigma^i)
+    + (1 - v) sigma^((p-1)/2) and the verdict of
+    Q = Q1 * (1 + sigma + ... + sigma^((p-3)/2)), through general ring
+    products."""
+    p = Q.p
+    half = (p - 1) // 2
+    low_part = GroupRingElt(p, Q.coeffs[:half] + (0,) * (p - 1 - half))
+    one_minus_sigma = GroupRingElt.from_int(p, 1) - _sigma_power(p, 1)
+    q1 = one_minus_sigma * low_part + _sigma_power(p, half, 1 - v)
+    ladder = GroupRingElt(p, [1] * half + [0] * (p - 1 - half))
+    return q1, q1 * ladder == Q
+
+
 def schoolbook_bicyc_mul(a: BiCycInt, b: BiCycInt) -> BiCycInt:
     """a * b in Z[zeta_pq]: the quadratic 2-D convolution, then the zeta_q
     reduction row by row and the zeta_p reduction column by column."""

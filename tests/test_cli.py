@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickelberger import cli, gauss, groupring
+from stickelberger import arith, cli, cyclotomic, gauss, groupring
 from stickelberger.cli import (
     LIMITS,
     MAX_FIELD_ORDER,
@@ -345,6 +345,9 @@ def test_gauss_verify_digest(pair):
 GROUP_RING_SHA256 = {
     ("stickelberger", "show", "-p", "9973", "-q", "2"):
         "93a2247f8f9a0457ff7dd94609db999cc4a6464a30965cc96b3e2f424d5549d1",
+    # at the -p limit, recorded while the identity checks were ring products
+    ("stickelberger", "show", "-p", "199999", "-q", "1199993"):
+        "cea82f915591ea901632f0ca07ab365776a8349ed8825a5f7ad2d1ed9fc35c18",
     ("principality", "test", "-p", "9973", "-q", "5"):
         "34f6d898ab142e9979b1d50b83328eb6082aa2fcca4f72e832a4b9a5f9d66b5b",
     ("principality", "corollary", "-p", "9967"):
@@ -387,7 +390,8 @@ def test_probe_digest(argv):
 
 def test_show_builds_each_group_ring_element_once(monkeypatch):
     # two power tables: P's inverse powers and the powers behind S's
-    # discrete logs; Q's builder is the one pass of the delta loop
+    # discrete logs; Q's builder is the one pass of the delta loop.  The
+    # identity checks read coefficients, so no ring product runs at all.
     counts = Counter()
 
     def counted(name, build):
@@ -402,8 +406,13 @@ def test_show_builds_each_group_ring_element_once(monkeypatch):
         for module in (groupring, cli):
             if getattr(module, name, None) is build:
                 monkeypatch.setattr(module, name, counted(name, build))
+    for module in (arith, cyclotomic):
+        monkeypatch.setattr(
+            module, "signed_packed_mul", counted("signed_packed_mul", arith.signed_packed_mul)
+        )
     code, _ = run_cli(["stickelberger", "show", "-p", "101", "-q", "3"])
     assert code == 0
+    assert counts["signed_packed_mul"] == 0
     assert counts == {
         "_power_table": 2,
         "stickelberger_S": 1,
@@ -491,6 +500,29 @@ def test_low_order_generator_survives_optimized_mode():
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: verification failed: generator")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_group_ring_checks_survive_optimized_mode():
+    # Q with one coefficient moved by 1 breaks P * (sigma - v) = p * Q and
+    # the pairing delta_(i+h) = 1 - v - delta_i behind Q = Q1 * ladder
+    script = (
+        "import sys, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = c.polynomial_Q\n"
+        "def moved(p, v):\n"
+        "    q = real(p, v)\n"
+        "    return type(q)(p, (q.coeffs[0] + 1,) + q.coeffs[1:])\n"
+        "c.polynomial_Q = moved\n"
+        "sys.exit(c.main(['stickelberger', 'show', '-p', '101']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1
+    identities = json.loads(done.stdout)["identities"]
+    assert identities == {
+        "S_equals_P": True,
+        "P_times_sigma_minus_v_is_pQ": False,
+        "Q1_factorization": False,
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,12 @@
 import pytest
 
-from reference import inverse_powers_by_term, primitive_roots, smallest_prime_with_order
+from reference import (
+    inverse_powers_by_term,
+    primitive_roots,
+    q1_factorization_by_product,
+    q_identity_by_product,
+    smallest_prime_with_order,
+)
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
 from stickelberger.groupring import (
     GroupRingElt,
@@ -107,7 +113,7 @@ class TestQ:
         assert polynomial_Q(5, 2).coeffs == (0, -1, -1, 0)
         # (1 + 3s + 4s^2 + 2s^3)(s - 2) = -5s - 5s^2 with s^4 = 1
         p_elt = polynomial_P(5, 2)
-        shift = GroupRingElt.sigma_power(5, 1) - GroupRingElt.from_int(5, 2)
+        shift = GroupRingElt(5, (0, 1, 0, 0)) - GroupRingElt.from_int(5, 2)
         assert (p_elt * shift).coeffs == (0, -5, -5, 0)
 
     def test_example_p3(self):
@@ -119,7 +125,7 @@ class TestQ:
         assert q_identity_holds(polynomial_P(p, v), polynomial_Q(p, v), v)
 
     def test_identity_fails_on_a_wrong_Q(self):
-        wrong_q = polynomial_Q(5, 2) + GroupRingElt.sigma_power(5, 3)
+        wrong_q = polynomial_Q(5, 2) + GroupRingElt(5, (0, 0, 0, 1))
         assert not q_identity_holds(polynomial_P(5, 2), wrong_q, 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
@@ -158,6 +164,33 @@ class TestQ1:
         half = (p - 1) // 2
         for i in range(half):
             assert deltas[i + half] == 1 - v - deltas[i]
+
+
+class TestChecksAgainstProducts:
+    """The coefficient checks against the ring products they replace."""
+
+    @pytest.mark.parametrize("p", PRIMES_TO_500)
+    def test_agree_for_two_primitive_roots(self, p):
+        roots = {primitive_root(p), max(primitive_roots(p))}  # one root at p = 3
+        for v in roots:
+            big_p, q = polynomial_P(p, v), polynomial_Q(p, v)
+            assert q_identity_holds(big_p, q, v) is q_identity_by_product(big_p, q, v) is True
+            q1, ok = polynomial_Q1_factorization(q, v)
+            assert (q1, ok) == q1_factorization_by_product(q, v) and ok is True
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 31])
+    def test_agree_on_every_one_coefficient_change_of_Q(self, p):
+        v = primitive_root(p)
+        big_p, q = polynomial_P(p, v), polynomial_Q(p, v)
+        for i in range(p - 1):
+            for change in (1, -1, p, -p):
+                coeffs = list(q.coeffs)
+                coeffs[i] += change
+                wrong_q = GroupRingElt(p, coeffs)
+                verdict = q_identity_holds(big_p, wrong_q, v)
+                assert verdict is q_identity_by_product(big_p, wrong_q, v) is False
+                q1, ok = polynomial_Q1_factorization(wrong_q, v)
+                assert (q1, ok) == q1_factorization_by_product(wrong_q, v) and ok is False
 
 
 class TestS2:
@@ -207,9 +240,9 @@ class TestS2:
         s2 = polynomial_S2(polynomial_P(7, 3), 2)
         s, m = stickelberger_S(7, 3), 2
         assert s2_refold_identity_holds(s, s2, m)
-        assert not s2_refold_identity_holds(s, s2 + GroupRingElt.sigma_power(7, 0), m)
+        assert not s2_refold_identity_holds(s, s2 + GroupRingElt(7, (1, 0, 0, 0, 0, 0)), m)
         # a coefficient beyond m breaks the fold too
-        assert not s2_refold_identity_holds(s, s2 + GroupRingElt.sigma_power(7, m), m)
+        assert not s2_refold_identity_holds(s, s2 + GroupRingElt(7, (0, 0, 1, 0, 0, 0)), m)
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_three_smallest_q_per_class(self, p):
@@ -252,19 +285,15 @@ class TestTandR:
     def test_P_minus_T_divisible_by_p_with_low_degree(self, p):
         v = primitive_root(p)
         t_elt = polynomial_T_reduced(p, v)
-        r_elt = (polynomial_P(p, v) - t_elt).divexact(p)  # raises unless p | P - T
+        difference = (polynomial_P(p, v) - t_elt).coeffs
+        assert all(c % p == 0 for c in difference)  # p | P - T
+        r_elt = GroupRingElt(p, [c // p for c in difference])
         assert polynomial_P(p, v) == t_elt + r_elt * p
         assert r_elt.coeffs[p - 2] == 0
 
 
 class TestGroupRingBasics:
     def test_sigma_exponent_folding(self):
-        s = GroupRingElt.sigma_power(5, 3)
+        s = GroupRingElt(5, (0, 0, 0, 1))  # sigma^3
         assert (s * s).coeffs == (0, 0, 1, 0)  # sigma^6 = sigma^2
-        assert (s * GroupRingElt.sigma_power(5, 1)).coeffs == (1, 0, 0, 0)
-
-    def test_scale_divexact(self):
-        g = GroupRingElt(5, (5, -10, 0, 20))
-        assert g.divexact(5).coeffs == (1, -2, 0, 4)
-        with pytest.raises(ValueError):
-            GroupRingElt(5, (1, 0, 0, 0)).divexact(5)
+        assert (s * GroupRingElt(5, (0, 1, 0, 0))).coeffs == (1, 0, 0, 0)
