@@ -8,9 +8,9 @@ that pins down the p-th power residue character.
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
+from typing import NamedTuple
 
 # The first 40 primes, the fixed Miller-Rabin bases.
 _MR_EXTRA_WITNESSES = (
@@ -253,8 +253,7 @@ def signed_packed_mul(a, b) -> list:
 # F_{q^f} in the polynomial basis
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+class FieldDesc(NamedTuple):
     """The residue field of a prime of Z[zeta_p] above q.
 
     f is the multiplicative order of q mod p, `modulus` a monic irreducible

@@ -17,7 +17,6 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -143,11 +142,11 @@ def _emit(text, out):
 
 def _encode(obj):
     """The JSON form of a report object: its `to_json_obj()` if it has one,
-    else a dataclass's fields in declaration order; a frozenset is sorted."""
+    else a record's `_asdict()`, its fields in order; a frozenset is sorted."""
     if hasattr(obj, "to_json_obj"):
         return obj.to_json_obj()
-    if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if hasattr(obj, "_asdict"):
+        return obj._asdict()
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -158,9 +157,10 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _json_text(obj, indent="\n"):
     """The bytes of json.dumps(obj, indent=2, default=_encode), with each
-    container's items joined into one string.  `indent` is a newline and
-    the indentation of obj's line.  Floats are refused with a TypeError,
-    and dict keys may be str, int, bool or None."""
+    container's items joined into one string and each record written by
+    `_encode`, not as an array.  `indent` is a newline and the indentation
+    of obj's line.  Floats are refused with a TypeError, and dict keys may
+    be str, int, bool or None."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -168,7 +168,7 @@ def _json_text(obj, indent="\n"):
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and not hasattr(obj, "_asdict"):
         if not obj:
             return "[]"
         items = [_json_text(item, inner) for item in obj]

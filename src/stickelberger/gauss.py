@@ -24,8 +24,8 @@ true); `flags` holds convention diagnostics that never fail a record.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .arith import (
     FieldDesc,
@@ -51,8 +51,7 @@ from .cyclotomic import (
 from .groupring import polynomial_P, polynomial_S2
 
 
-@dataclass
-class GaussSumRecord:
+class GaussSumRecord(NamedTuple):
     """A computed Gauss sum with every verified property attached."""
 
     p: int
@@ -64,8 +63,8 @@ class GaussSumRecord:
     G: CycInt  # g^p in Z[zeta_p]: from its values mod ell^k, or g_cyc ** p
     rho: int | None  # tau-twist exponent, split case only
     valuation_profile: dict | None  # ideal label -> valuation of G
-    checks: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
+    checks: dict
+    flags: dict
 
     @property
     def ok(self):

@@ -7,7 +7,7 @@ congruence values certifies p-principality, but nothing here ever claims
 non-principality.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import (
     MILLER_RABIN_WITNESS_COUNT,
@@ -22,8 +22,7 @@ from .cyclotomic import CycInt, lambda_element, root_values, shift_norms
 from .groupring import fp_gr_eval_powers, orbit_sums, polynomial_P, polynomial_S2
 
 
-@dataclass(frozen=True)
-class PrincipalityReport:
+class PrincipalityReport(NamedTuple):
     p: int
     q: int
     f: int
@@ -71,8 +70,7 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
     )
 
 
-@dataclass(frozen=True)
-class HalfDegreeVerdict:
+class HalfDegreeVerdict(NamedTuple):
     p: int
     v: int
     sigma: int  # the single l = 1 congruence value, an exact integer
@@ -99,8 +97,7 @@ def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
     )
 
 
-@dataclass(frozen=True)
-class ProbeWitness:
+class ProbeWitness(NamedTuple):
     a: int
     x_coeffs: tuple
     norm_q: int
@@ -117,17 +114,16 @@ class ProbeWitness:
         }
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     p: int
     search_bound: int
     coeff_bound: int
     candidates_tested: int
-    witnesses: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    status: str = "ok"
-    probabilistic_primality_used: bool = False
-    miller_rabin_witness_count: int = field(default=MILLER_RABIN_WITNESS_COUNT, init=False)
+    witnesses: list
+    counterexamples: list
+    status: str  # "ok" / "no candidates"
+    probabilistic_primality_used: bool
+    miller_rabin_witness_count: int = MILLER_RABIN_WITNESS_COUNT
 
 
 def _graded_lex_vectors(length, bound):
@@ -201,16 +197,15 @@ def principal_norm_probe(
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-    report = ProbeReport(
-        p=p, search_bound=search_bound, coeff_bound=coeff_bound, candidates_tested=0
-    )
+    tested = 0
+    witnesses, counterexamples = [], []
     # |norm| -> p^((|norm|-1)/p) mod |norm| if |norm| is prime, else None
     verdicts = {}
     for x, values, at_one, modulus in _sweep_values(p, coeff_bound):
         # the last x may take only some of the a in [1, p-1]
-        shifts = range(1, min(p, search_bound - report.candidates_tested + 1))
+        shifts = range(1, min(p, search_bound - tested + 1))
         for a, n in zip(shifts, shift_norms(p, values, at_one, shifts, modulus)):
-            report.candidates_tested += 1
+            tested += 1
             n = abs(n)
             if n in verdicts:
                 residue = verdicts[n]
@@ -221,17 +216,23 @@ def principal_norm_probe(
             witness = ProbeWitness(
                 a=a, x_coeffs=x, norm_q=n, residue=residue, passes=residue == 1,
             )
-            report.witnesses.append(witness)
+            witnesses.append(witness)
             if not witness.passes:
-                report.counterexamples.append(witness)
-        if report.candidates_tested >= search_bound:
+                counterexamples.append(witness)
+        if tested >= search_bound:
             break
-    report.probabilistic_primality_used = any(
-        w.norm_q >= MILLER_RABIN_DETERMINISTIC_BOUND for w in report.witnesses
+    return ProbeReport(
+        p=p,
+        search_bound=search_bound,
+        coeff_bound=coeff_bound,
+        candidates_tested=tested,
+        witnesses=witnesses,
+        counterexamples=counterexamples,
+        status="ok" if witnesses else "no candidates",
+        probabilistic_primality_used=any(
+            w.norm_q >= MILLER_RABIN_DETERMINISTIC_BOUND for w in witnesses
+        ),
     )
-    if not report.witnesses:
-        report.status = "no candidates"
-    return report
 
 
 def _norm_verdict(p, n):

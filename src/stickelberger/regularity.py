@@ -12,20 +12,22 @@ stays as the single-index route, and tests cross-check the oracle against
 it.  Every odd root the scanner reports is re-evaluated by Horner's rule.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
 from .groupring import fp_gr_eval, fp_gr_eval_powers, orbit_sums, polynomial_P, polynomial_Q
 
-# B_0, B_1, ... computed on demand and never shrunk.
-_bernoulli_cache = [Fraction(1)]
+# B_0, B_1, ... computed on demand and never shrunk.  B_0 is the int 1, so
+# that `fractions` loads with the first call, not with the package.
+_bernoulli_cache = [1]
 
 
-def bernoulli_fraction(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention), via
+def bernoulli_fraction(n: int):
+    """Exact Bernoulli number B_n as a Fraction (B_1 = -1/2 convention), via
     sum_j C(n+1, j) B_j = 0."""
+    from fractions import Fraction
+
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
         acc = Fraction(0)
@@ -33,7 +35,7 @@ def bernoulli_fraction(n: int) -> Fraction:
             if b:
                 acc += comb(m + 1, j) * b
         _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    return Fraction(_bernoulli_cache[n])
 
 
 def bernoulli_mod(k: int, p: int) -> int:
@@ -90,8 +92,7 @@ def irregular_indices(p: int) -> frozenset:
     return frozenset(k for k, r in bernoulli_mod_p(p).items() if r == 0)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(NamedTuple):
     p: int
     v: int
     odd_roots: frozenset  # m with Q(v^(2m+1)) = 0 mod p, 1 <= m <= (p-3)/2
@@ -131,8 +132,7 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class HalfBernoulliCheck:
+class HalfBernoulliCheck(NamedTuple):
     p: int
     v: int
     q_at_minus_one: int  # Q(v^((p-1)/2)) mod p

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -349,7 +348,7 @@ class TestCharacterWalk:
     )
     def test_non_generator_raises(self, generator):
         fd = field_make(5, 3)
-        bad = dataclasses.replace(fd, generator=generator(fd))
+        bad = fd._replace(generator=generator(fd))
         with pytest.raises(VerificationError, match="order"):
             _character_grid(bad)
 
@@ -358,7 +357,7 @@ class TestCharacterWalk:
         # gen^ell has order (q^f-1)/ell: one cofactor check misses it
         fd = field_make(*pair)
         for ell in arith.factorize(fd.order - 1):
-            bad = dataclasses.replace(fd, generator=arith.ff_pow(fd.generator, ell, fd))
+            bad = fd._replace(generator=arith.ff_pow(fd.generator, ell, fd))
             with pytest.raises(VerificationError, match="order"):
                 _character_grid(bad)
             with pytest.raises(VerificationError, match="order"):
