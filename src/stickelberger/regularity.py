@@ -1,52 +1,23 @@
-"""Irregular-prime machinery: the per-prime Bernoulli oracle, the root
-scan of the quotient polynomial Q over F_p, and the alternating-sum fact
-that rules out a vanishing B_((p+1)/2) when (p-1)/2 is odd.
+"""Irregular-prime machinery: the per-prime Bernoulli oracle and the root
+scan of the quotient polynomial Q over F_p.
 
 Both halves of the scan are quasi-linear in p.  The oracle reads B_k mod p
 off the inverse of the even series 2(cosh x - 1)/x^2 in y = x^2, of length
 (p-1)/2, by x^2/(cosh x - 1) = -2 sum_j (2j-1) B_2j x^2j/(2j)!; the scanner
 gets every value Q(v^n) from one chirp correlation.  The two routes share
 only the packed-product helper `arith.packed_mul`, which tests pin against
-the schoolbook product; the exact-rational `bernoulli_fraction` recurrence
-stays as the single-index route, and tests cross-check the oracle against
-it.  Every odd root the scanner reports is re-evaluated by Horner's rule.
+the schoolbook product; the tests also cross-check the oracle against an
+exact-rational Bernoulli recurrence.  Every odd root the scanner reports is
+re-evaluated by Horner's rule.
 """
 
-from math import comb
 from typing import NamedTuple
 
 from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
-from .groupring import fp_gr_eval, fp_gr_eval_powers, orbit_sums, polynomial_P, polynomial_Q
+from .groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
 
-# B_0, B_1, ... computed on demand and never shrunk.  B_0 is the int 1, so
-# that `fractions` loads with the first call, not with the package.
+# no route here fills it: perfbench/tracer.py reports its length
 _bernoulli_cache = [1]
-
-
-def bernoulli_fraction(n: int):
-    """Exact Bernoulli number B_n as a Fraction (B_1 = -1/2 convention), via
-    sum_j C(n+1, j) B_j = 0."""
-    from fractions import Fraction
-
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j, b in enumerate(_bernoulli_cache):
-            if b:
-                acc += comb(m + 1, j) * b
-        _bernoulli_cache.append(-acc / (m + 1))
-    return Fraction(_bernoulli_cache[n])
-
-
-def bernoulli_mod(k: int, p: int) -> int:
-    """B_k mod p for a single index; rejects k = 0 mod p-1 where the
-    von Staudt-Clausen denominator kills the reduction."""
-    if k > 0 and k % (p - 1) == 0:
-        raise ValueError(f"B_{k} mod {p}: denominator divisible by {p}")
-    b = bernoulli_fraction(k)
-    if b.denominator % p == 0:
-        raise ValueError(f"B_{k} has denominator divisible by {p}")
-    return b.numerator * pow(b.denominator, -1, p) % p
 
 
 def _series_inverse(e, p, n):
@@ -130,47 +101,3 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
         verdict="irregular" if irr else "regular",
         agreement=len(odd_exponents) == len(irr),
     )
-
-
-class HalfBernoulliCheck(NamedTuple):
-    p: int
-    v: int
-    q_at_minus_one: int  # Q(v^((p-1)/2)) mod p
-    s1: int  # sum of even-index inverse powers of v
-    s2: int  # sum of odd-index inverse powers of v
-    big_v: int  # -(s1 - s2)
-    ok: bool
-
-
-def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:
-    """For p = 3 mod 4: Q(v^((p-1)/2)) is nonzero mod p, and the integer
-    identities behind it hold: S1 + S2 = p(p-1)/2 (odd), V = -(S1 - S2)
-    nonzero with |V| < p(p-1)/2."""
-    if p % 4 != 3:
-        raise ValueError("hypothesis requires (p-1)/2 odd, i.e. p = 3 mod 4")
-    if v is None:
-        v = primitive_root(p)
-    s1, s2 = orbit_sums(polynomial_P(p, v), 2)
-    value = fp_gr_eval(polynomial_Q(p, v), canon_power(v, (p - 1) // 2, p))
-    big_v = -(s1 - s2)
-    ok = (
-        value != 0
-        and s1 + s2 == p * (p - 1) // 2
-        and big_v != 0
-        and abs(big_v) < p * (p - 1) // 2
-    )
-    return HalfBernoulliCheck(
-        p=p, v=v, q_at_minus_one=value, s1=s1, s2=s2, big_v=big_v, ok=ok
-    )
-
-
-__all__ = [
-    "bernoulli_fraction",
-    "bernoulli_mod",
-    "bernoulli_mod_p",
-    "irregular_indices",
-    "RegularityVerdict",
-    "q_root_scan",
-    "HalfBernoulliCheck",
-    "b_half_check",
-]

@@ -2,8 +2,11 @@
 against.  Nothing here is used by the package itself.
 """
 
+from fractions import Fraction
 from itertools import islice
+from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from stickelberger.arith import (
     FieldDesc,
@@ -27,7 +30,13 @@ from stickelberger.cyclotomic import (
     galois_apply,
     lambda_element,
 )
-from stickelberger.groupring import GroupRingElt
+from stickelberger.groupring import (
+    GroupRingElt,
+    fp_gr_eval,
+    orbit_sums,
+    polynomial_P,
+    polynomial_Q,
+)
 from stickelberger.principality import _graded_lex_vectors
 from stickelberger.regularity import _series_inverse
 
@@ -270,3 +279,63 @@ def bernoulli_mod_p_full_series(p):
         inverse_factorials[j - 1] = inverse_factorials[j] * j % p
     r = _series_inverse(inverse_factorials[1:], p, p - 2)
     return {k: factorials[k] * r[k] % p for k in range(2, p - 2, 2)}
+
+
+# B_0, B_1, ... computed on demand and never shrunk
+_bernoulli_cache = [1]
+
+
+def bernoulli_fraction(n: int):
+    """Exact Bernoulli number B_n as a Fraction (B_1 = -1/2 convention), via
+    sum_j C(n+1, j) B_j = 0."""
+    while len(_bernoulli_cache) <= n:
+        m = len(_bernoulli_cache)
+        acc = Fraction(0)
+        for j, b in enumerate(_bernoulli_cache):
+            if b:
+                acc += comb(m + 1, j) * b
+        _bernoulli_cache.append(-acc / (m + 1))
+    return Fraction(_bernoulli_cache[n])
+
+
+def bernoulli_mod(k: int, p: int) -> int:
+    """B_k mod p for a single index; rejects k = 0 mod p-1 where the
+    von Staudt-Clausen denominator kills the reduction."""
+    if k > 0 and k % (p - 1) == 0:
+        raise ValueError(f"B_{k} mod {p}: denominator divisible by {p}")
+    b = bernoulli_fraction(k)
+    if b.denominator % p == 0:
+        raise ValueError(f"B_{k} has denominator divisible by {p}")
+    return b.numerator * pow(b.denominator, -1, p) % p
+
+
+class HalfBernoulliCheck(NamedTuple):
+    p: int
+    v: int
+    q_at_minus_one: int  # Q(v^((p-1)/2)) mod p
+    s1: int  # sum of even-index inverse powers of v
+    s2: int  # sum of odd-index inverse powers of v
+    big_v: int  # -(s1 - s2)
+    ok: bool
+
+
+def b_half_check(p: int, v: int | None = None) -> HalfBernoulliCheck:
+    """For p = 3 mod 4: Q(v^((p-1)/2)) is nonzero mod p, and the integer
+    identities behind it hold: S1 + S2 = p(p-1)/2 (odd), V = -(S1 - S2)
+    nonzero with |V| < p(p-1)/2."""
+    if p % 4 != 3:
+        raise ValueError("hypothesis requires (p-1)/2 odd, i.e. p = 3 mod 4")
+    if v is None:
+        v = primitive_root(p)
+    s1, s2 = orbit_sums(polynomial_P(p, v), 2)
+    value = fp_gr_eval(polynomial_Q(p, v), canon_power(v, (p - 1) // 2, p))
+    big_v = -(s1 - s2)
+    ok = (
+        value != 0
+        and s1 + s2 == p * (p - 1) // 2
+        and big_v != 0
+        and abs(big_v) < p * (p - 1) // 2
+    )
+    return HalfBernoulliCheck(
+        p=p, v=v, q_at_minus_one=value, s1=s1, s2=s2, big_v=big_v, ok=ok
+    )

@@ -9,7 +9,7 @@ import io
 
 import pytest
 
-from reference import smallest_prime_with_order
+from reference import b_half_check, smallest_prime_with_order
 from stickelberger.arith import is_prime, primitive_root
 from stickelberger.cli import main
 from stickelberger.gauss import build_record
@@ -27,7 +27,7 @@ from stickelberger.principality import (
     principal_norm_probe,
     principality_test,
 )
-from stickelberger.regularity import b_half_check, q_root_scan
+from stickelberger.regularity import q_root_scan
 
 PRIMES_500 = [p for p in range(3, 501) if is_prime(p)]
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]

@@ -674,10 +674,21 @@ def _run_checkout(args, **kwargs):
 
 def test_import_leaves_multiprocessing_out():
     # only --jobs > 1 needs the process pool; the records are NamedTuples,
-    # so dataclasses and the inspect it loads stay out, and fractions
-    # serves only bernoulli_fraction, which no command calls
+    # so dataclasses and the inspect it loads stay out, and no src/ module
+    # imports fractions
     modules = ("multiprocessing", "dataclasses", "inspect", "fractions")
     script = f"import sys, stickelberger.cli\nprint([m for m in {modules} if m in sys.modules])\n"
+    with _run_checkout(["-c", script], stdout=subprocess.PIPE, text=True) as proc:
+        out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing; callers import the layers they use
+    script = (
+        "import sys, stickelberger\n"
+        "print(sorted(m for m in sys.modules if m.startswith('stickelberger.')))\n"
+    )
     with _run_checkout(["-c", script], stdout=subprocess.PIPE, text=True) as proc:
         out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0 and out == "[]\n"

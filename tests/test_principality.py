@@ -36,6 +36,7 @@ from stickelberger.principality import (
     principal_norm_probe,
     principality_test,
 )
+from stickelberger.regularity import bernoulli_mod_p
 
 PRIMES = [p for p in range(3, 101) if is_prime(p)]
 
@@ -119,6 +120,16 @@ class TestHalfDegree:
     )
     def test_nonzero_below_500(self, p):
         assert half_degree_corollary(p).verdict
+
+    @pytest.mark.parametrize(
+        "p", [p for p in range(7, 500) if is_prime(p) and p % 4 == 3]
+    )
+    def test_sigma_is_the_bernoulli_quotient(self, p):
+        # Kummer's congruence gives sigma = B_k / k mod p with k = (p+1)/2,
+        # so the orbit sums and the series oracle must agree
+        k = (p + 1) // 2
+        expected = bernoulli_mod_p(p)[k] * pow(k, -1, p) % p
+        assert half_degree_corollary(p).sigma_mod_p == expected
 
     @pytest.mark.parametrize("p", [p for p in range(7, 60) if is_prime(p) and p % 4 == 3])
     def test_every_primitive_root_gives_the_orbit_sums(self, p):

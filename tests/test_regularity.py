@@ -4,17 +4,16 @@ from fractions import Fraction
 import pytest
 
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
-from reference import bernoulli_mod_p_full_series, primitive_roots
-from stickelberger.cli import main
-from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
-from stickelberger.regularity import (
+from reference import (
     b_half_check,
     bernoulli_fraction,
     bernoulli_mod,
-    bernoulli_mod_p,
-    irregular_indices,
-    q_root_scan,
+    bernoulli_mod_p_full_series,
+    primitive_roots,
 )
+from stickelberger.cli import main
+from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
+from stickelberger.regularity import bernoulli_mod_p, irregular_indices, q_root_scan
 
 # classical table: irregular primes below 160 with their Bernoulli indices
 IRREGULAR_TABLE = {

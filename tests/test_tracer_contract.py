@@ -2,9 +2,12 @@
 looks for them.  A rename or a method moved into a base class would
 otherwise break `perfbench/run.py --trace 1` with an AttributeError, or
 silently drop its spans.  The tracer is read from its file, never
-imported as a package and never installed.
+imported as a package and never installed.  Its names also bound `src/`
+from the other side: a public definition that neither `src/` code nor the
+tracer reads is test-only.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -13,7 +16,9 @@ import pytest
 
 from stickelberger.cyclotomic import BiCycInt, CycInt
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+SRC_MODULES = sorted((ROOT / "src" / "stickelberger").glob("[!_]*.py"))
 
 
 def _load_tracer():
@@ -56,3 +61,30 @@ def test_bernoulli_cache_is_a_list():
     import stickelberger.regularity as regularity
 
     assert isinstance(regularity._bernoulli_cache, list)
+
+
+def _names_read(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_is_used_by_src_or_traced():
+    # a top-level function or class that no src/ code reads and the tracer
+    # does not wrap is test-only and belongs in tests/reference.py
+    statements = [
+        stmt for path in SRC_MODULES for stmt in ast.parse(path.read_text()).body
+    ]
+    traced = {path.split(".")[0] for path in WRAPPED.values()}
+    reads = [_names_read(stmt) for stmt in statements]
+    unused = [
+        stmt.name
+        for i, stmt in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in traced
+        and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
+    ]
+    assert unused == []
