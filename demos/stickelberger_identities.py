@@ -22,18 +22,18 @@ print()
 
 s = stickelberger_S(p, v)
 big_p = polynomial_P(p, v)
-print("S  built from sum of t * w_t^(-1):", s.coeffs)
-print("P  built from sum of sigma^i v^(-i):", big_p.coeffs)
+print("S  built from sum of t * w_t^(-1):", s)
+print("P  built from sum of sigma^i v^(-i):", big_p)
 print("S == P:", s == big_p)
-print("coefficient sum:", s.coefficient_sum(), "= p(p-1)/2 =", p * (p - 1) // 2)
+print("coefficient sum:", sum(s), "= p(p-1)/2 =", p * (p - 1) // 2)
 print()
 
 q_elt = polynomial_Q(p, v)
-print("delta (the coefficients of Q):", q_elt.coeffs)
+print("delta (the coefficients of Q):", q_elt)
 print("P * (sigma - v) == p * Q:", q_identity_holds(big_p, q_elt, v))
 
 q1, ok = polynomial_Q1_factorization(q_elt, v)
-print("Q1:", q1.coeffs)
+print("Q1:", q1)
 print("Q == Q1 * (1 + sigma + ... + sigma^((p-3)/2)):", ok)
 print()
 
@@ -46,4 +46,4 @@ for q in (2, 3, 5):
         print(f"q = {q}: {exc}")
         continue
     m = (p - 1) // multiplicative_order(q, p)
-    print(f"q = {q}: S2 coefficients {s2.coeffs[:m]} (p * sum = {p * s2.coefficient_sum()})")
+    print(f"q = {q}: S2 coefficients {s2[:m]} (p * sum = {p * sum(s2)})")

@@ -199,7 +199,7 @@ def _report(obj, out):
 
 
 def _coeff_strings(elt):
-    return [str(c) for c in elt.coeffs]
+    return [str(c) for c in elt]
 
 
 @contextlib.contextmanager

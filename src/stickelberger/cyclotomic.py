@@ -17,7 +17,7 @@ arbitrary-precision Python ints.
 
 import math
 from itertools import accumulate, repeat
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .arith import VerificationError, is_prime, primitive_root, signed_packed_mul
 
@@ -37,10 +37,10 @@ def _reduce_exponents(p, vec):
 
 
 class CoeffVector:
-    """Immutable integer coefficient vector, the base of the three rings
-    CycInt, BiCycInt and GroupRingElt, which all carry their prime as `p`.
+    """Immutable integer coefficient vector, the base of the two rings
+    CycInt and BiCycInt, which both carry their prime as `p`.
 
-    The product is one packed bigint product for every ring; a subclass
+    The product is one packed bigint product for both rings; a subclass
     supplies only its fold, `_fold`, which reduces the product's list of
     coefficients into its basis.  Every element-wise operation goes through
     `_map`; a subclass with another coefficient shape (BiCycInt's rows)
@@ -95,16 +95,8 @@ class CoeffVector:
     def __add__(self, other):
         return self._map(add, self._coerce(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._map(sub, self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return self._map(neg)
 
     def _flat(self):
         """The coefficients as one list for `signed_packed_mul`."""
@@ -115,8 +107,6 @@ class CoeffVector:
         coefficient lists, folded back into the basis by the ring."""
         other = self._coerce(other)
         return self._fold(signed_packed_mul(self._flat(), other._flat()))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e, modulus=None):
         """self^e by squaring.  With a modulus, as in Python's 3-argument
@@ -154,7 +144,7 @@ class CycInt(CoeffVector):
         return cls(p, _reduce_exponents(p, vec))
 
     # bound here, not inherited: perfbench/tracer.py rebinds products in vars(cls)
-    __mul__ = __rmul__ = CoeffVector.__mul__
+    __mul__ = CoeffVector.__mul__
 
     def _fold(self, conv):
         return CycInt(self.p, _reduce_exponents(self.p, conv))
@@ -236,7 +226,7 @@ class BiCycInt(CoeffVector):
         return not any(map(any, self.coeffs))
 
     # bound here, not inherited: perfbench/tracer.py rebinds products in vars(cls)
-    __mul__ = __rmul__ = CoeffVector.__mul__
+    __mul__ = CoeffVector.__mul__
 
     def _flat(self):
         """The entries row by row with row stride 2q-3, the width of a row

@@ -326,12 +326,9 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         checks["G_in_zeta_p"] = True
         checks["g_in_zeta_p"] = True
         s2 = polynomial_S2(polynomial_P(p, v), q)
-        checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g_cyc)) == q ** (
-            f * s2.coefficient_sum()
-        )
-        checks["s2_weight_is_half_group_sum"] = (
-            p * s2.coefficient_sum() == p * (p - 1) // 2
-        )
+        weight = sum(s2)
+        checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g_cyc)) == q ** (f * weight)
+        checks["s2_weight_is_half_group_sum"] = p * weight == p * (p - 1) // 2
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.
         checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g_cyc + 1) >= 1

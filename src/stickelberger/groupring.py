@@ -1,10 +1,12 @@
-"""Z[G_p] arithmetic for the Galois group of the p-th cyclotomic field,
-and the specific elements the verification suites revolve around: the
-Stickelberger element S, its power-basis form P, the quotient polynomials
-Q and Q1, and the folded element S2 used for inertial degree f > 1.
+"""Elements of Z[G_p], G_p the Galois group of the p-th cyclotomic field,
+that the verification suites revolve around: the Stickelberger element S,
+its power-basis form P, the quotient polynomials Q and Q1, and the folded
+element S2 used for inertial degree f > 1.
 
-Coefficient i always multiplies sigma^i where sigma: zeta -> zeta^v for
-the chosen primitive root v; exponent arithmetic is mod p-1.
+An element is the tuple of its p-1 integer coefficients, so p is the
+tuple's length plus one.  Coefficient i always multiplies sigma^i where
+sigma: zeta -> zeta^v for the chosen primitive root v; exponent
+arithmetic is mod p-1.
 
 S, P and Q each have one builder from (p, v); S2 and the identity checks
 take the elements they read, so a caller builds each element once.  The
@@ -14,7 +16,7 @@ sum over a window of k exponents.
 """
 
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 
 from .arith import (
     VerificationError,
@@ -23,28 +25,14 @@ from .arith import (
     multiplicative_order,
     packed_mul,
 )
-from .cyclotomic import CoeffVector, _power_table
+from .cyclotomic import _power_table
 
 
-class GroupRingElt(CoeffVector):
-    """Element of Z[G_p] as a length-(p-1) integer vector over sigma^i."""
-
-    __slots__ = ()
-
-    def _fold(self, conv):
-        """sigma^(p-1) = 1: exponent p-1+i wraps onto i."""
-        n = self.p - 1
-        return GroupRingElt(self.p, map(add, conv[:n], conv[n:] + [0]))
-
-    def coefficient_sum(self):
-        return sum(self.coeffs)
-
-
-def fp_gr_eval(g: GroupRingElt, x: int) -> int:
+def fp_gr_eval(g: tuple, x: int) -> int:
     """Evaluate sum c_i x^i mod p (as a plain polynomial value)."""
-    p = g.p
+    p = len(g) + 1
     acc = 0
-    for c in reversed(g.coeffs):
+    for c in reversed(g):
         acc = (acc * x + c) % p
     return acc
 
@@ -60,7 +48,7 @@ def _chirp(u, count, p):
     return out
 
 
-def fp_gr_eval_powers(g: GroupRingElt, v: int) -> list:
+def fp_gr_eval_powers(g: tuple, v: int) -> list:
     """[fp_gr_eval(g, v^n) for n in [0, p-2]] from one packed product.
 
     Bluestein's chirp: i*n = C(i+n,2) - C(i,2) - C(n,2), so
@@ -68,16 +56,16 @@ def fp_gr_eval_powers(g: GroupRingElt, v: int) -> list:
     correlation of two fixed sequences.  v is any unit mod p, and exponents
     only matter mod p-1, so no square root of v is needed.
     """
-    p = g.p
-    n = p - 1
+    n = len(g)
+    p = n + 1
     chirp = _chirp(v % p, 2 * n - 1, p)
     inverse_chirp = _chirp(canon_power(v, -1, p), n, p)
-    weighted = [c * w % p for c, w in zip(reversed(g.coeffs), reversed(inverse_chirp))]
+    weighted = [c * w % p for c, w in zip(reversed(g), reversed(inverse_chirp))]
     corr = packed_mul(weighted, chirp, p, 2 * n - 1, n - 1)
     return [s * w % p for s, w in zip(corr, inverse_chirp)]
 
 
-def stickelberger_S(p, v) -> GroupRingElt:
+def stickelberger_S(p, v) -> tuple:
     """S = sum_t t * w_t^(-1) translated into sigma-powers.
 
     w_t: zeta -> zeta^t, and w_t^(-1) = sigma^i exactly when v^i = t^(-1)
@@ -91,10 +79,10 @@ def stickelberger_S(p, v) -> GroupRingElt:
     coeffs = [0] * (p - 1)
     for t in range(1, p):
         coeffs[-dlog[t] % (p - 1)] += t
-    return GroupRingElt(p, coeffs)
+    return tuple(coeffs)
 
 
-def polynomial_P(p, v) -> GroupRingElt:
+def polynomial_P(p, v) -> tuple:
     """P(sigma) = sum_i sigma^i v^(-i) with representatives in [1, p-1].
 
     A unit v is a primitive root exactly when 1 does not recur among its
@@ -103,16 +91,16 @@ def polynomial_P(p, v) -> GroupRingElt:
     inverse_powers = _power_table(pow(v, p - 2, p), p - 1, p)  # v^(p-2) = v^(-1)
     if v % p == 0 or inverse_powers.count(1) > 1:
         raise ValueError(f"{v} is not a primitive root mod {p}")
-    return GroupRingElt(p, inverse_powers)
+    return tuple(inverse_powers)
 
 
 def orbit_sums(g, m):
     """g's coefficients summed over the cosets of m, a divisor of p-1:
     for P, [sum_j v^(-(i+jm)) for i < m]."""
-    return [sum(g.coeffs[i::m]) for i in range(m)]
+    return [sum(g[i::m]) for i in range(m)]
 
 
-def polynomial_Q(p, v) -> GroupRingElt:
+def polynomial_Q(p, v) -> tuple:
     """Q = sum delta_i sigma^i, satisfying P * (sigma - v) = p * Q, with
     delta_i = (v^(-(i-1)) - v^(-i) v)/p exact integers in (-p, 0] and
     delta_0 = 0."""
@@ -131,15 +119,15 @@ def polynomial_Q(p, v) -> GroupRingElt:
         prev, cur = cur, cur * inverse_v % p
     if deltas[0] != 0:
         raise VerificationError("delta_0 must vanish")
-    return GroupRingElt(p, deltas)
+    return tuple(deltas)
 
 
 def q_identity_holds(P, Q, v) -> bool:
     """Exact check of P * (sigma - v) = p * Q in Z[G_p]: coefficient i of
     the left side is P_(i-1) - v P_i, indices mod p-1."""
-    p, c = P.p, P.coeffs
-    return Q.p == p and all(
-        prev - v * cur == p * d for prev, cur, d in zip(c[-1:] + c[:-1], c, Q.coeffs)
+    p = len(P) + 1
+    return len(Q) == len(P) and all(
+        prev - v * cur == p * d for prev, cur, d in zip(P[-1:] + P[:-1], P, Q)
     )
 
 
@@ -150,18 +138,17 @@ def polynomial_Q1_factorization(Q, v):
     verdict of the exact factorization Q = Q1 * (1 + sigma + ... +
     sigma^(h-1)), whose coefficient i is the cyclic window sum
     Q1_(i-h+1) + ... + Q1_i, read off one prefix sum of Q1."""
-    p, d = Q.p, Q.coeffs
-    n, h = p - 1, (p - 1) // 2
-    q1 = [d[0], *map(sub, d[1:h], d[: h - 1]), 1 - v - d[h - 1]] + [0] * (n - h - 1)
+    n, h = len(Q), len(Q) // 2
+    q1 = [Q[0], *map(sub, Q[1:h], Q[: h - 1]), 1 - v - Q[h - 1]] + [0] * (n - h - 1)
     run = list(accumulate(q1[n - h + 1 :] + q1, initial=0))  # Q1_(k-h+1) at k
-    return GroupRingElt(p, q1), all(b - a == c for a, b, c in zip(run, run[h:], d))
+    return tuple(q1), all(b - a == c for a, b, c in zip(run, run[h:], Q))
 
 
-def polynomial_S2(P, q) -> GroupRingElt:
+def polynomial_S2(P, q) -> tuple:
     """Folded Stickelberger element for a prime q of inertial degree f > 1:
     coefficient i is (sum_j v^(-(i+jm)))/p for i < m = (p-1)/f, an exact
     integer, read from P's coefficients."""
-    p = P.p
+    p = len(P) + 1
     if not is_prime(q) or q == p:
         raise ValueError(f"q={q} is not a prime other than p={p}")
     f = multiplicative_order(q, p)
@@ -173,10 +160,11 @@ def polynomial_S2(P, q) -> GroupRingElt:
         if block % p:
             raise VerificationError(f"S2 coefficient {i} is not integral")
         coeffs[i] = block // p
-    return GroupRingElt(p, coeffs)
+    return tuple(coeffs)
 
 
 def s2_refold_identity_holds(S, S2, m) -> bool:
     """p * S2[i] must equal the sum of S's coefficients over exponents
     congruent to i mod m, and S2 must vanish from m on."""
-    return [S.p * c for c in S2.coeffs[:m]] == orbit_sums(S, m) and not any(S2.coeffs[m:])
+    p = len(S) + 1
+    return [p * c for c in S2[:m]] == orbit_sums(S, m) and not any(S2[m:])

@@ -39,7 +39,12 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
     folded Stickelberger coefficients c_i, all from one chirp product.
 
     All values nonzero certifies that the prime ideals over q are
-    p-principal; a vanishing value is inconclusive.
+    p-principal; a vanishing value is inconclusive.  The computed values
+    leave few certificates: sigma_l is 0 whenever l*f is even, and
+    B_k / k mod p with k = p - l*f when l*f is odd.  So every m >= 3 is
+    inconclusive (sigma_2 = 0), m = 1 (q inert) certifies with an empty
+    battery, and m = 2 certifies exactly when p = 3 (mod 4) and
+    B_((p+1)/2) is not 0 mod p.
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
@@ -48,7 +53,7 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
     s2 = polynomial_S2(polynomial_P(p, v), q)
     f = multiplicative_order(q, p)
     m = (p - 1) // f
-    coeffs = s2.coeffs[:m]
+    coeffs = s2[:m]
     values = fp_gr_eval_powers(s2, canon_power(v, f, p))
     sigma_values = {l: values[l] for l in range(1, m)}
     full_orbit_ok = p * sum(coeffs) == p * (p - 1) // 2
@@ -63,7 +68,7 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
         f=f,
         m=m,
         v=v,
-        s2_coeffs=tuple(coeffs),
+        s2_coeffs=coeffs,
         sigma_values=sigma_values,
         full_orbit_sum_ok=full_orbit_ok,
         certificate=certificate,

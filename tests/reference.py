@@ -5,7 +5,7 @@ against.  Nothing here is used by the package itself.
 from fractions import Fraction
 from itertools import islice
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from stickelberger.arith import (
@@ -31,7 +31,6 @@ from stickelberger.cyclotomic import (
     lambda_element,
 )
 from stickelberger.groupring import (
-    GroupRingElt,
     fp_gr_eval,
     orbit_sums,
     polynomial_P,
@@ -54,29 +53,31 @@ def schoolbook_cyc_mul(a: CycInt, b: CycInt) -> CycInt:
     return CycInt(p, _reduce_exponents(p, conv))
 
 
-def schoolbook_group_ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    """a * b in Z[G_p], exponents added mod p-1."""
-    n = a.p - 1
+def schoolbook_group_ring_mul(a: tuple, b: tuple) -> tuple:
+    """a * b in Z[G_p], elements as coefficient tuples of one length p-1:
+    exponents added mod p-1."""
+    n = len(a)
     out = [0] * n
-    for i, x in enumerate(a.coeffs):
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(b):
                 if y:
                     out[(i + j) % n] += x * y
-    return GroupRingElt(a.p, out)
+    return tuple(out)
 
 
-def _sigma_power(p, i, coefficient=1) -> GroupRingElt:
+def _sigma_power(p, i, coefficient=1) -> tuple:
     """coefficient * sigma^i in Z[G_p]."""
     vec = [0] * (p - 1)
     vec[i % (p - 1)] = coefficient
-    return GroupRingElt(p, vec)
+    return tuple(vec)
 
 
 def q_identity_by_product(P, Q, v) -> bool:
     """P * (sigma - v) = p * Q through general ring products."""
-    p = P.p
-    return P * (_sigma_power(p, 1) - GroupRingElt.from_int(p, v)) == Q * p
+    p = len(P) + 1
+    sigma_minus_v = (-v, 1) + (0,) * (p - 3)
+    return schoolbook_group_ring_mul(P, sigma_minus_v) == tuple(p * d for d in Q)
 
 
 def q1_factorization_by_product(Q, v):
@@ -84,13 +85,15 @@ def q1_factorization_by_product(Q, v):
     + (1 - v) sigma^((p-1)/2) and the verdict of
     Q = Q1 * (1 + sigma + ... + sigma^((p-3)/2)), through general ring
     products."""
-    p = Q.p
+    p = len(Q) + 1
     half = (p - 1) // 2
-    low_part = GroupRingElt(p, Q.coeffs[:half] + (0,) * (p - 1 - half))
-    one_minus_sigma = GroupRingElt.from_int(p, 1) - _sigma_power(p, 1)
-    q1 = one_minus_sigma * low_part + _sigma_power(p, half, 1 - v)
-    ladder = GroupRingElt(p, [1] * half + [0] * (p - 1 - half))
-    return q1, q1 * ladder == Q
+    low_part = Q[:half] + (0,) * (p - 1 - half)
+    one_minus_sigma = (1, -1) + (0,) * (p - 3)
+    q1 = tuple(
+        map(add, schoolbook_group_ring_mul(one_minus_sigma, low_part), _sigma_power(p, half, 1 - v))
+    )
+    ladder = (1,) * half + (0,) * (p - 1 - half)
+    return q1, schoolbook_group_ring_mul(q1, ladder) == Q
 
 
 def schoolbook_bicyc_mul(a: BiCycInt, b: BiCycInt) -> BiCycInt:

@@ -44,7 +44,7 @@ def test_criterion_1_stickelberger_identity_suite():
     for p in PRIMES_500:
         v = primitive_root(p)
         big_p, q_elt = polynomial_P(p, v), polynomial_Q(p, v)
-        deltas = list(q_elt.coeffs)
+        deltas = list(q_elt)
         _, q1_ok = polynomial_Q1_factorization(q_elt, v)
         ok = (
             ok

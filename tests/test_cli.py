@@ -511,7 +511,7 @@ def test_group_ring_checks_survive_optimized_mode():
         "real = c.polynomial_Q\n"
         "def moved(p, v):\n"
         "    q = real(p, v)\n"
-        "    return type(q)(p, (q.coeffs[0] + 1,) + q.coeffs[1:])\n"
+        "    return (q[0] + 1,) + q[1:]\n"
         "c.polynomial_Q = moved\n"
         "sys.exit(c.main(['stickelberger', 'show', '-p', '101']))\n"
     )

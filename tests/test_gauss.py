@@ -221,7 +221,7 @@ class TestInertStructure:
         # recomputed outside gauss_sum, then read from the record's checks
         record = build_record(*pair)
         p, q, f = record.p, record.q, record.f
-        weight = polynomial_S2(polynomial_P(p, record.v), q).coefficient_sum()
+        weight = sum(polynomial_S2(polynomial_P(p, record.v), q))
         assert abs(norm(record.g_cyc)) == q ** (f * weight)
         assert record.g * record.g.conj() == q**f
         assert record.checks["norm_g_equals_q_to_s2_weight"]

@@ -1,3 +1,5 @@
+from operator import add, sub
+
 import pytest
 
 from reference import (
@@ -5,11 +7,11 @@ from reference import (
     primitive_roots,
     q1_factorization_by_product,
     q_identity_by_product,
+    schoolbook_group_ring_mul,
     smallest_prime_with_order,
 )
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
 from stickelberger.groupring import (
-    GroupRingElt,
     fp_gr_eval,
     orbit_sums,
     polynomial_P,
@@ -28,13 +30,13 @@ PRIMES_TO_60 = [p for p in PRIMES_TO_500 if p < 60]
 
 class TestStickelbergerS:
     def test_hand_expanded_examples(self):
-        assert stickelberger_S(5, 2).coeffs == (1, 3, 4, 2)
-        assert stickelberger_S(3, 2).coeffs == (1, 2)
+        assert stickelberger_S(5, 2) == (1, 3, 4, 2)
+        assert stickelberger_S(3, 2) == (1, 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_coefficient_sum(self, p):
         v = primitive_root(p)
-        assert stickelberger_S(p, v).coefficient_sum() == p * (p - 1) // 2
+        assert sum(stickelberger_S(p, v)) == p * (p - 1) // 2
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_equals_P(self, p):
@@ -50,13 +52,13 @@ class TestStickelbergerS:
 
 class TestP:
     def test_example(self):
-        assert polynomial_P(5, 2).coeffs == (1, 3, 4, 2)
-        assert polynomial_P(3, 2).coeffs == (1, 2)
+        assert polynomial_P(5, 2) == (1, 3, 4, 2)
+        assert polynomial_P(3, 2) == (1, 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_evaluation_at_one(self, p):
         v = primitive_root(p)
-        assert polynomial_P(p, v).coefficient_sum() == p * (p - 1) // 2
+        assert sum(polynomial_P(p, v)) == p * (p - 1) // 2
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_value_at_v_is_minus_one(self, p):
@@ -66,7 +68,7 @@ class TestP:
     @pytest.mark.parametrize("p", PRIMES_TO_60)
     def test_every_primitive_root_gives_the_inverse_powers(self, p):
         for v in primitive_roots(p):
-            assert list(polynomial_P(p, v).coeffs) == inverse_powers_by_term(p, v)
+            assert list(polynomial_P(p, v)) == inverse_powers_by_term(p, v)
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_rejects_a_v_of_order_half_p_minus_one(self, p):
@@ -89,12 +91,12 @@ class TestP:
 
 class TestDelta:
     def test_example_p5(self):
-        assert list(polynomial_Q(5, 2).coeffs) == [0, -1, -1, 0]
+        assert list(polynomial_Q(5, 2)) == [0, -1, -1, 0]
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_bounds_and_delta0(self, p):
         v = primitive_root(p)
-        deltas = list(polynomial_Q(p, v).coeffs)
+        deltas = list(polynomial_Q(p, v))
         assert deltas[0] == 0
         assert all(-p < d <= 0 for d in deltas)
 
@@ -105,19 +107,18 @@ class TestDelta:
         from stickelberger.arith import canon_power
 
         floors = [-((canon_power(v, -i, p) * v) // p) for i in range(p - 1)]
-        assert list(polynomial_Q(p, v).coeffs) == floors
+        assert list(polynomial_Q(p, v)) == floors
 
 
 class TestQ:
     def test_example_p5(self):
-        assert polynomial_Q(5, 2).coeffs == (0, -1, -1, 0)
+        assert polynomial_Q(5, 2) == (0, -1, -1, 0)
         # (1 + 3s + 4s^2 + 2s^3)(s - 2) = -5s - 5s^2 with s^4 = 1
-        p_elt = polynomial_P(5, 2)
-        shift = GroupRingElt(5, (0, 1, 0, 0)) - GroupRingElt.from_int(5, 2)
-        assert (p_elt * shift).coeffs == (0, -5, -5, 0)
+        shift = (-2, 1, 0, 0)  # sigma - 2
+        assert schoolbook_group_ring_mul(polynomial_P(5, 2), shift) == (0, -5, -5, 0)
 
     def test_example_p3(self):
-        assert polynomial_Q(3, 2).coeffs == (0, -1)
+        assert polynomial_Q(3, 2) == (0, -1)
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_identity_exact(self, p):
@@ -125,18 +126,18 @@ class TestQ:
         assert q_identity_holds(polynomial_P(p, v), polynomial_Q(p, v), v)
 
     def test_identity_fails_on_a_wrong_Q(self):
-        wrong_q = polynomial_Q(5, 2) + GroupRingElt(5, (0, 0, 0, 1))
+        wrong_q = tuple(map(add, polynomial_Q(5, 2), (0, 0, 0, 1)))
         assert not q_identity_holds(polynomial_P(5, 2), wrong_q, 2)
 
     @pytest.mark.parametrize("p", PRIMES_TO_100)
     def test_value_at_one(self, p):
         v = primitive_root(p)
-        assert polynomial_Q(p, v).coefficient_sum() == (1 - v) * (p - 1) // 2
+        assert sum(polynomial_Q(p, v)) == (1 - v) * (p - 1) // 2
 
     def test_eval_examples(self):
         q5 = polynomial_Q(5, 2)
         assert fp_gr_eval(q5, 1) == 3
-        assert fp_gr_eval(q5, 0) == q5.coeffs[0] % 5
+        assert fp_gr_eval(q5, 0) == q5[0] % 5
         assert fp_gr_eval(polynomial_P(5, 2), 0) == 1
 
 
@@ -144,12 +145,12 @@ class TestQ1:
     def test_example_p5(self):
         q1, ok = polynomial_Q1_factorization(polynomial_Q(5, 2), 2)
         assert ok
-        assert q1.coeffs == (0, -1, 0, 0)  # Q1 = -sigma
+        assert q1 == (0, -1, 0, 0)  # Q1 = -sigma
 
     def test_example_p3(self):
         q1, ok = polynomial_Q1_factorization(polynomial_Q(3, 2), 2)
         assert ok
-        assert q1.coeffs == (0, -1)
+        assert q1 == (0, -1)
 
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_factorization_holds(self, p):
@@ -160,7 +161,7 @@ class TestQ1:
     @pytest.mark.parametrize("p", PRIMES_TO_500)
     def test_delta_pairing(self, p):
         v = primitive_root(p)
-        deltas = list(polynomial_Q(p, v).coeffs)
+        deltas = list(polynomial_Q(p, v))
         half = (p - 1) // 2
         for i in range(half):
             assert deltas[i + half] == 1 - v - deltas[i]
@@ -184,9 +185,9 @@ class TestChecksAgainstProducts:
         big_p, q = polynomial_P(p, v), polynomial_Q(p, v)
         for i in range(p - 1):
             for change in (1, -1, p, -p):
-                coeffs = list(q.coeffs)
+                coeffs = list(q)
                 coeffs[i] += change
-                wrong_q = GroupRingElt(p, coeffs)
+                wrong_q = tuple(coeffs)
                 verdict = q_identity_holds(big_p, wrong_q, v)
                 assert verdict is q_identity_by_product(big_p, wrong_q, v) is False
                 q1, ok = polynomial_Q1_factorization(wrong_q, v)
@@ -195,8 +196,8 @@ class TestChecksAgainstProducts:
 
 class TestS2:
     def test_examples(self):
-        assert polynomial_S2(polynomial_P(7, 3), 2).coeffs[:2] == (1, 2)
-        assert polynomial_S2(polynomial_P(5, 2), 3).coeffs[:1] == (2,)
+        assert polynomial_S2(polynomial_P(7, 3), 2)[:2] == (1, 2)
+        assert polynomial_S2(polynomial_P(5, 2), 3)[:1] == (2,)
 
     def test_rejects_split_q(self):
         with pytest.raises(ValueError):
@@ -220,7 +221,7 @@ class TestS2:
                 blocks = [sum(canon_power(v, -(i + j * m), p) for j in range(f)) for i in range(m)]
                 assert all(block % p == 0 for block in blocks)
                 expected = [block // p for block in blocks] + [0] * (p - 1 - m)
-                assert list(polynomial_S2(polynomial_P(p, v), q).coeffs) == expected
+                assert list(polynomial_S2(polynomial_P(p, v), q)) == expected
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_integral_and_refolds(self, p):
@@ -234,15 +235,15 @@ class TestS2:
             q = smallest_prime_with_order(p, f)
             s2 = polynomial_S2(big_p, q)
             assert s2_refold_identity_holds(s, s2, (p - 1) // f)
-            assert p * s2.coefficient_sum() == p * (p - 1) // 2
+            assert p * sum(s2) == p * (p - 1) // 2
 
     def test_refold_fails_on_a_wrong_S2(self):
         s2 = polynomial_S2(polynomial_P(7, 3), 2)
         s, m = stickelberger_S(7, 3), 2
         assert s2_refold_identity_holds(s, s2, m)
-        assert not s2_refold_identity_holds(s, s2 + GroupRingElt(7, (1, 0, 0, 0, 0, 0)), m)
+        assert not s2_refold_identity_holds(s, tuple(map(add, s2, (1, 0, 0, 0, 0, 0))), m)
         # a coefficient beyond m breaks the fold too
-        assert not s2_refold_identity_holds(s, s2 + GroupRingElt(7, (0, 0, 1, 0, 0, 0)), m)
+        assert not s2_refold_identity_holds(s, tuple(map(add, s2, (0, 0, 1, 0, 0, 0))), m)
 
     @pytest.mark.parametrize("p", [p for p in PRIMES_TO_500 if p <= 200])
     def test_three_smallest_q_per_class(self, p):
@@ -277,7 +278,7 @@ def polynomial_T_reduced(p, v):
                 shifted[(i + 1) % n] += c
                 shifted[i] -= root * c
         coeffs = shifted
-    return GroupRingElt(p, coeffs)
+    return tuple(coeffs)
 
 
 class TestTandR:
@@ -285,15 +286,15 @@ class TestTandR:
     def test_P_minus_T_divisible_by_p_with_low_degree(self, p):
         v = primitive_root(p)
         t_elt = polynomial_T_reduced(p, v)
-        difference = (polynomial_P(p, v) - t_elt).coeffs
+        difference = list(map(sub, polynomial_P(p, v), t_elt))
         assert all(c % p == 0 for c in difference)  # p | P - T
-        r_elt = GroupRingElt(p, [c // p for c in difference])
-        assert polynomial_P(p, v) == t_elt + r_elt * p
-        assert r_elt.coeffs[p - 2] == 0
+        r_elt = [c // p for c in difference]
+        assert polynomial_P(p, v) == tuple(t + r * p for t, r in zip(t_elt, r_elt))
+        assert r_elt[p - 2] == 0
 
 
 class TestGroupRingBasics:
     def test_sigma_exponent_folding(self):
-        s = GroupRingElt(5, (0, 0, 0, 1))  # sigma^3
-        assert (s * s).coeffs == (0, 0, 1, 0)  # sigma^6 = sigma^2
-        assert (s * GroupRingElt(5, (0, 1, 0, 0))).coeffs == (1, 0, 0, 0)
+        s = (0, 0, 0, 1)  # sigma^3
+        assert schoolbook_group_ring_mul(s, s) == (0, 0, 1, 0)  # sigma^6 = sigma^2
+        assert schoolbook_group_ring_mul(s, (0, 1, 0, 0)) == (1, 0, 0, 0)

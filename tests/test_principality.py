@@ -22,6 +22,7 @@ from reference import (
     probe_sweep,
     probe_witnesses,
     sigma_values_by_loop,
+    smallest_prime_with_order,
 )
 from stickelberger.cyclotomic import (
     CycInt,
@@ -98,6 +99,38 @@ class TestPrincipalityTest:
                 )
             assert len(certs) == 1, (p, q, certs)
             assert len(zero_counts) == 1
+
+
+class TestBatteryAgainstTheOracle:
+    """Each sigma_l against the Bernoulli oracle: 0 when l*f is even, and
+    B_k / k mod p with k = p - l*f when l*f is odd (Kummer's congruence
+    B_(1,omega^(k-1)) = B_k / k; Washington, GTM 83, ch. 5)."""
+
+    def test_every_divisor_for_p_below_500(self):
+        counts = Counter()
+        for p in (x for x in range(5, 500) if is_prime(x)):
+            bernoulli = bernoulli_mod_p(p)
+            for f in (d for d in range(2, p) if (p - 1) % d == 0):
+                report = principality_test(p, smallest_prime_with_order(p, f))
+                for l, value in report.sigma_values.items():
+                    if l * f % 2 == 0:
+                        assert value == 0, (p, f, l)
+                        counts["zero"] += 1
+                    else:
+                        k = p - l * f
+                        assert value == bernoulli[k] * pow(k, -1, p) % p, (p, f, l)
+                        counts["bernoulli"] += 1
+                # sigma_2 = 0 for every m >= 3; an empty battery at m = 1; at
+                # m = 2, sigma_1 = B_k / k with k = (p+1)/2 when f is odd
+                if report.m == 1:
+                    certified = True
+                elif report.m == 2:
+                    certified = p % 4 == 3 and bernoulli[(p + 1) // 2] != 0
+                else:
+                    certified = False
+                assert (report.certificate == "p-principal") is certified, (p, f)
+                counts["pairs"] += 1
+        assert counts == {"pairs": 798, "zero": 20883, "bernoulli": 3311}
 
 
 class TestHalfDegree:
