@@ -5,7 +5,7 @@ Run: python demos/stickelberger_identities.py [p]
 
 import sys
 
-from stickelberger.arith import multiplicative_order, primitive_root
+from stickelberger.arith import primitive_root
 from stickelberger.groupring import (
     polynomial_P,
     polynomial_Q,
@@ -45,5 +45,4 @@ for q in (2, 3, 5):
     except ValueError as exc:
         print(f"q = {q}: {exc}")
         continue
-    m = (p - 1) // multiplicative_order(q, p)
-    print(f"q = {q}: S2 coefficients {s2[:m]} (p * sum = {p * sum(s2)})")
+    print(f"q = {q}: S2 coefficients {s2} (p * sum = {p * sum(s2)})")

@@ -88,7 +88,7 @@ MAX_PROBE_BOUND = 100_000
 
 # Largest -p of the commands that are quasi-linear in p.  At p = 199999,
 # bernoulli took 3.7 s and 45 MB peak RSS, stickelberger show -q 1199993
-# 1.3 s and 138 MB, principality test -q 1199993 (f = 2) 8.9 s and 107 MB,
+# 1.3 s and 138 MB, principality test -q 1199993 (f = 2) 4.7 s and 62 MB,
 # and principality corollary 0.20 s and 26 MB (cold CLI without bytecode
 # caches, median of 3, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
@@ -296,14 +296,12 @@ def cmd_stickelberger_show(args, out):
     }
     if args.q is not None:
         s2 = polynomial_S2(big_p, args.q)
-        f = multiplicative_order(args.q, p)
-        m = (p - 1) // f
         payload["S2"] = {
             "q": args.q,
-            "f": f,
-            "m": m,
-            "coeffs": _coeff_strings(s2)[:m],
-            "refold_identity": s2_refold_identity_holds(s, s2, m),
+            "f": (p - 1) // len(s2),
+            "m": len(s2),
+            "coeffs": _coeff_strings(s2),
+            "refold_identity": s2_refold_identity_holds(s, s2),
         }
     _json_dump(payload, out)
     ok = all(payload["identities"].values()) and (

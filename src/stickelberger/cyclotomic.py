@@ -193,13 +193,6 @@ class BiCycInt(CoeffVector):
         return cls(p, q, rows)
 
     @classmethod
-    def from_cyc(cls, a: CycInt, q):
-        rows = [[0] * (q - 1) for _ in range(a.p - 1)]
-        for i, c in enumerate(a.coeffs):
-            rows[i][0] = c
-        return cls(a.p, q, rows)
-
-    @classmethod
     def from_exponent_grid(cls, p, q, grid):
         """Reduce a grid of coefficients of zeta_p^i zeta_q^j, i < 2p-1 and
         j < 2q-1, into the basis: the zeta_q direction row by row, then the
@@ -209,12 +202,10 @@ class BiCycInt(CoeffVector):
         return cls(p, q, zip(*cols))
 
     def _coerce(self, other):
-        """Ints and Z[zeta_p] elements embed; a BiCycInt must share q."""
+        """Ints embed; a BiCycInt must share q."""
         if isinstance(other, int):
             return BiCycInt.from_int(self.p, self.q, other)
-        if isinstance(other, CycInt):
-            other = BiCycInt.from_cyc(other, self.q)
-        elif isinstance(other, BiCycInt) and other.q != self.q:
+        if isinstance(other, BiCycInt) and other.q != self.q:
             raise ValueError(f"mixed rings: q={self.q} and q={other.q}")
         return super()._coerce(other)
 

@@ -3,10 +3,12 @@ that the verification suites revolve around: the Stickelberger element S,
 its power-basis form P, the quotient polynomials Q and Q1, and the folded
 element S2 used for inertial degree f > 1.
 
-An element is the tuple of its p-1 integer coefficients, so p is the
-tuple's length plus one.  Coefficient i always multiplies sigma^i where
-sigma: zeta -> zeta^v for the chosen primitive root v; exponent
-arithmetic is mod p-1.
+An element of Z[G_p] is the tuple of its p-1 integer coefficients, so p
+is the tuple's length plus one.  Coefficient i always multiplies sigma^i
+where sigma: zeta -> zeta^v for the chosen primitive root v; exponent
+arithmetic is mod p-1.  S2 is an element of Z[G_p/D], D = <sigma^m> the
+decomposition group of q: the tuple of its m = (p-1)/f coefficients, so
+a caller reads m, and f = (p-1)/m, from its length.
 
 S, P and Q each have one builder from (p, v); S2 and the identity checks
 take the elements they read, so a caller builds each element once.  The
@@ -48,8 +50,9 @@ def _chirp(u, count, p):
     return out
 
 
-def fp_gr_eval_powers(g: tuple, v: int) -> list:
-    """[fp_gr_eval(g, v^n) for n in [0, p-2]] from one packed product.
+def fp_gr_eval_powers(g: tuple, v: int, p: int) -> list:
+    """[sum_i c_i v^(in) mod p for n < len(g)] from one packed product, for
+    any length: p-1 for an element of Z[G_p], m for S2.
 
     Bluestein's chirp: i*n = C(i+n,2) - C(i,2) - C(n,2), so
     g(v^n) = v^(-C(n,2)) * sum_i (c_i v^(-C(i,2))) * v^C(i+n,2), a
@@ -57,7 +60,6 @@ def fp_gr_eval_powers(g: tuple, v: int) -> list:
     only matter mod p-1, so no square root of v is needed.
     """
     n = len(g)
-    p = n + 1
     chirp = _chirp(v % p, 2 * n - 1, p)
     inverse_chirp = _chirp(canon_power(v, -1, p), n, p)
     weighted = [c * w % p for c, w in zip(reversed(g), reversed(inverse_chirp))]
@@ -145,26 +147,24 @@ def polynomial_Q1_factorization(Q, v):
 
 
 def polynomial_S2(P, q) -> tuple:
-    """Folded Stickelberger element for a prime q of inertial degree f > 1:
-    coefficient i is (sum_j v^(-(i+jm)))/p for i < m = (p-1)/f, an exact
-    integer, read from P's coefficients."""
+    """Folded Stickelberger element for a prime q of inertial degree f > 1,
+    an element of Z[G_p/D] with m = (p-1)/f coefficients: coefficient i is
+    (sum_j v^(-(i+jm)))/p, an exact integer, read from P's coefficients."""
     p = len(P) + 1
     if not is_prime(q) or q == p:
         raise ValueError(f"q={q} is not a prime other than p={p}")
     f = multiplicative_order(q, p)
     if f == 1:
         raise ValueError(f"q={q} splits (f = 1), where S2 is undefined")
-    m = (p - 1) // f
-    coeffs = [0] * (p - 1)
-    for i, block in enumerate(orbit_sums(P, m)):
+    blocks = orbit_sums(P, (p - 1) // f)
+    for i, block in enumerate(blocks):
         if block % p:
             raise VerificationError(f"S2 coefficient {i} is not integral")
-        coeffs[i] = block // p
-    return tuple(coeffs)
+    return tuple(block // p for block in blocks)
 
 
-def s2_refold_identity_holds(S, S2, m) -> bool:
+def s2_refold_identity_holds(S, S2) -> bool:
     """p * S2[i] must equal the sum of S's coefficients over exponents
-    congruent to i mod m, and S2 must vanish from m on."""
+    congruent to i mod m = len(S2)."""
     p = len(S) + 1
-    return [p * c for c in S2[:m]] == orbit_sums(S, m) and not any(S2[m:])
+    return [p * c for c in S2] == orbit_sums(S, len(S2))

@@ -15,7 +15,6 @@ from .arith import (
     VerificationError,
     canon_power,
     is_prime,
-    multiplicative_order,
     primitive_root,
 )
 from .cyclotomic import CycInt, lambda_element, root_values, shift_norms
@@ -36,7 +35,8 @@ class PrincipalityReport(NamedTuple):
 
 def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityReport:
     """Evaluate the m-1 congruences sum_i c_i v^(lfi) mod p built from the
-    folded Stickelberger coefficients c_i, all from one chirp product.
+    m coefficients c_i of the folded Stickelberger element S2, all from one
+    chirp product over m points; m = len(S2) and f = (p-1)/m.
 
     All values nonzero certifies that the prime ideals over q are
     p-principal; a vanishing value is inconclusive.  The computed values
@@ -51,12 +51,11 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
     if v is None:
         v = primitive_root(p)
     s2 = polynomial_S2(polynomial_P(p, v), q)
-    f = multiplicative_order(q, p)
-    m = (p - 1) // f
-    coeffs = s2[:m]
-    values = fp_gr_eval_powers(s2, canon_power(v, f, p))
+    m = len(s2)
+    f = (p - 1) // m
+    values = fp_gr_eval_powers(s2, canon_power(v, f, p), p)
     sigma_values = {l: values[l] for l in range(1, m)}
-    full_orbit_ok = p * sum(coeffs) == p * (p - 1) // 2
+    full_orbit_ok = p * sum(s2) == p * (p - 1) // 2
     certificate = (
         "p-principal"
         if full_orbit_ok and all(val != 0 for val in sigma_values.values())
@@ -68,7 +67,7 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
         f=f,
         m=m,
         v=v,
-        s2_coeffs=coeffs,
+        s2_coeffs=s2,
         sigma_values=sigma_values,
         full_orbit_sum_ok=full_orbit_ok,
         certificate=certificate,

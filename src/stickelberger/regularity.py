@@ -84,7 +84,7 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     if v is None:
         v = primitive_root(p)
     q_poly = polynomial_Q(p, v)
-    values = fp_gr_eval_powers(q_poly, v)
+    values = fp_gr_eval_powers(q_poly, v, p)
     all_roots = [n for n in range(2, p - 1) if values[n] == 0]
     odd_exponents = [n for n in all_roots if n % 2 == 1]
     # the verdict rests on the odd roots: confirm each one by Horner's rule

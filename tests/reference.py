@@ -111,6 +111,15 @@ def schoolbook_bicyc_mul(a: BiCycInt, b: BiCycInt) -> BiCycInt:
     return BiCycInt(p, q, [[col[i] for col in cols] for i in range(p - 1)])
 
 
+def embed(a: CycInt, q) -> BiCycInt:
+    """a in Z[zeta_p] as an element of Z[zeta_pq]: its coefficients on
+    zeta_q^0."""
+    rows = [[0] * (q - 1) for _ in range(a.p - 1)]
+    for i, c in enumerate(a.coeffs):
+        rows[i][0] = c
+    return BiCycInt(a.p, q, rows)
+
+
 def power_in_zeta_pq(g: BiCycInt) -> CycInt:
     """G = g^p by ring products in Z[zeta_pq], read off the zeta_q^0 column;
     ValueError unless the power lies in Z[zeta_p]."""

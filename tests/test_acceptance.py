@@ -144,7 +144,7 @@ def test_criterion_6_section5_suite():
         for f in sorted(d for d in range(2, p) if (p - 1) % d == 0):
             q = smallest_prime_with_order(p, f)
             s2 = polynomial_S2(big_p, q)  # integrality asserted inside
-            ok = ok and s2_refold_identity_holds(s, s2, (p - 1) // f)
+            ok = ok and s2_refold_identity_holds(s, s2)
     for p in PRIMES_500:
         if p % 4 == 3 and p > 3:
             ok = ok and half_degree_corollary(p).verdict

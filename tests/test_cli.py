@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickelberger import arith, cli, cyclotomic, gauss, groupring
+from stickelberger import arith, cli, cyclotomic, gauss, groupring, principality
 from stickelberger.cli import (
     LIMITS,
     MAX_FIELD_ORDER,
@@ -350,6 +350,9 @@ GROUP_RING_SHA256 = {
         "cea82f915591ea901632f0ca07ab365776a8349ed8825a5f7ad2d1ed9fc35c18",
     ("principality", "test", "-p", "9973", "-q", "5"):
         "34f6d898ab142e9979b1d50b83328eb6082aa2fcca4f72e832a4b9a5f9d66b5b",
+    # at the -p limit with f = 2, recorded while S2 carried p-1 coefficients
+    ("principality", "test", "-p", "199999", "-q", "1199993"):
+        "4c11f3b0fbfeb0a47be5c5f92a29c4f2fe2f888e11e55a178f8d239bfb5f34a1",
     ("principality", "corollary", "-p", "9967"):
         "3889077dd65f9be5546fe8f9d98979c5f84bbe0d316c332ce6d3a6f8b2cca354",
     # recorded with the full-length inverse of (e^x - 1)/x as the Bernoulli
@@ -523,6 +526,56 @@ def test_group_ring_checks_survive_optimized_mode():
         "P_times_sigma_minus_v_is_pQ": False,
         "Q1_factorization": False,
     }
+
+
+# S2 with one coefficient moved by delta: the refold identity of `show` and
+# the full-orbit sum of `principality test` must both see it
+S2_SABOTAGE_CASES = {
+    "show": (cli, ["stickelberger", "show", "-p", "101", "-q", "3"]),
+    "test": (principality, ["principality", "test", "-p", "7", "-q", "2"]),
+}
+
+
+def _s2_verdict(command, stdout):
+    payload = json.loads(stdout)
+    if command == "show":
+        return payload["S2"]["refold_identity"]
+    return payload["full_orbit_sum_ok"]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("command", sorted(S2_SABOTAGE_CASES))
+def test_moved_s2_coefficient_fails(monkeypatch, command, delta):
+    module, argv = S2_SABOTAGE_CASES[command]
+    real = module.polynomial_S2
+
+    def moved(big_p, q):
+        s2 = real(big_p, q)
+        return (s2[0] + delta,) + s2[1:]
+
+    monkeypatch.setattr(module, "polynomial_S2", moved)
+    code, text = run_cli(argv)
+    assert code == 1
+    assert _s2_verdict(command, text) is False
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("command", sorted(S2_SABOTAGE_CASES))
+def test_moved_s2_coefficient_fails_in_optimized_mode(command, delta):
+    module, argv = S2_SABOTAGE_CASES[command]
+    script = (
+        f"import sys, {module.__name__} as mod, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = mod.polynomial_S2\n"
+        "def moved(big_p, q):\n"
+        "    s2 = real(big_p, q)\n"
+        f"    return (s2[0] + {delta},) + s2[1:]\n"
+        "mod.polynomial_S2 = moved\n"
+        f"sys.exit(c.main({argv!r}))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1
+    assert _s2_verdict(command, done.stdout) is False
 
 
 @pytest.mark.parametrize(

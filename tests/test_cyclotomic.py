@@ -9,6 +9,7 @@ from stickelberger import cyclotomic
 from stickelberger.arith import VerificationError, is_prime
 from reference import (
     conjugate_product_norm,
+    embed,
     four_term_grid,
     hensel_roots_by_lifts,
     schoolbook_bicyc_mul,
@@ -137,9 +138,10 @@ class TestCoeffVector:
             bicyc + BiCycInt.from_int(5, 7, 1)
         with pytest.raises(ValueError):
             bicyc + BiCycInt.from_int(7, 3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             bicyc + CycInt.zeta(7)
-        assert bicyc + cyc == bicyc + BiCycInt.from_cyc(cyc, 3)
+        with pytest.raises(TypeError):
+            bicyc + cyc
 
 
 SCHOOLBOOK = {
@@ -271,7 +273,7 @@ class TestLambdaValuation:
         assert lambda_valuation(CycInt.from_int(5, 5**6)) == 24
 
     def test_bi_cap_signal(self):
-        lam = BiCycInt.from_cyc(lambda_element(5), 3)
+        lam = embed(lambda_element(5), 3)
         assert bi_lambda_valuation(lam ** 30) == 30
         assert bi_lambda_valuation(BiCycInt.from_int(5, 3, 0)) == math.inf
 
@@ -281,7 +283,7 @@ class TestLambdaValuation:
         with pytest.raises(VerificationError, match="norm bound"):
             lambda_valuation(CycInt.from_int(5, 5))
         with pytest.raises(VerificationError, match="norm bound"):
-            bi_lambda_valuation(BiCycInt.from_cyc(lambda_element(5), 3))
+            bi_lambda_valuation(embed(lambda_element(5), 3))
 
 
 @st.composite
@@ -331,12 +333,12 @@ class TestLambdaQuotient:
     def test_bi_valuation_of_embedded_element(self, a, q):
         if q == a.p:
             return
-        assert bi_lambda_valuation(BiCycInt.from_cyc(a, q)) == lambda_valuation(a)
+        assert bi_lambda_valuation(embed(a, q)) == lambda_valuation(a)
 
     @pytest.mark.parametrize("p, q", [(3, 2), (3, 7), (5, 2), (5, 11), (7, 3)])
     def test_bi_valuation_is_additive_in_lambda_powers(self, p, q):
         rng = random.Random(p * 100 + q)
-        lam = BiCycInt.from_cyc(lambda_element(p), q)
+        lam = embed(lambda_element(p), q)
         for _ in range(20):
             rows = [[rng.randint(-(1 << 90), 1 << 90) for _ in range(q - 1)] for _ in range(p - 1)]
             b = BiCycInt(p, q, rows)
@@ -593,7 +595,7 @@ class TestBiCycInt:
 
     def test_zeta_orders(self):
         for (p, q) in [(3, 5), (5, 3), (3, 2)]:
-            zp = BiCycInt.from_cyc(CycInt.zeta(p), q)
+            zp = embed(CycInt.zeta(p), q)
             assert zp ** p == 1
             # zeta_q via exponent grid
             grid = [[0] * q for _ in range(p)]
@@ -603,7 +605,7 @@ class TestBiCycInt:
 
     def test_collapse(self):
         a = CycInt(5, (1, -2, 3, 0))
-        b = BiCycInt.from_cyc(a, 7)
+        b = embed(a, 7)
         assert b.in_zeta_p_subring()
         assert b.to_cyc() == a
         grid = [[0] * 7 for _ in range(5)]
@@ -624,7 +626,7 @@ class TestBiCycInt:
 
     def test_bi_lambda_valuation(self):
         p, q = 5, 7
-        lam = BiCycInt.from_cyc(lambda_element(p), q)
+        lam = embed(lambda_element(p), q)
         grid = [[0] * q for _ in range(p)]
         grid[0][3] = 1
         zq3 = BiCycInt.from_exponent_grid(p, q, grid)

@@ -41,7 +41,7 @@ from stickelberger.gauss import (
     resolvent_form,
 )
 from stickelberger.groupring import polynomial_P, polynomial_S2
-from reference import ff_elements, full_walk_grid, power_in_zeta_pq
+from reference import embed, ff_elements, full_walk_grid, power_in_zeta_pq
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
 INERT_PAIRS = [(5, 3), (7, 2), (11, 3), (5, 7)]
@@ -173,11 +173,11 @@ class TestResolvent:
         g = resolvent_form(p, q, rho)
         u = primitive_root(q)
         lhs = g.galois(1, u)
-        rhs = BiCycInt.from_cyc(CycInt.zeta(p, rho), q) * g
+        rhs = embed(CycInt.zeta(p, rho), q) * g
         assert lhs == rhs
 
     def test_constant_in_zeta_q_gives_rho_zero(self):
-        g = BiCycInt.from_cyc(CycInt(3, (5, -2)), 7)
+        g = embed(CycInt(3, (5, -2)), 7)
         assert extract_rho(g) == 0
 
     def test_gauss_sum_is_resolvent_at_extracted_rho(self):
@@ -433,7 +433,7 @@ def test_times_zeta_p_is_the_product(pair):
     p, q = pair
     rng = random.Random(p * q)
     b = BiCycInt(p, q, [[rng.randint(-99, 99) for _ in range(q - 1)] for _ in range(p - 1)])
-    assert _times_zeta_p(b) == b * BiCycInt.from_cyc(CycInt.zeta(p), q)
+    assert _times_zeta_p(b) == b * embed(CycInt.zeta(p), q)
 
 
 # the pairs whose `gauss verify` stdout is pinned by sha256 in test_cli.py

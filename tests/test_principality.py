@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from stickelberger import principality
+from stickelberger import groupring, principality
 from stickelberger.arith import (
     MILLER_RABIN_DETERMINISTIC_BOUND,
     canon_power,
     is_prime,
     multiplicative_order,
+    primitive_root,
 )
 from reference import (
     conjugate_product_norm,
@@ -30,6 +31,7 @@ from stickelberger.cyclotomic import (
     norm,
     shift_norms,
 )
+from stickelberger.groupring import fp_gr_eval_powers, polynomial_P, polynomial_S2
 from stickelberger.principality import (
     _graded_lex_vectors,
     _sweep_values,
@@ -131,6 +133,41 @@ class TestBatteryAgainstTheOracle:
                 assert (report.certificate == "p-principal") is certified, (p, f)
                 counts["pairs"] += 1
         assert counts == {"pairs": 798, "zero": 20883, "bernoulli": 3311}
+
+
+class TestChirpOverTheOrbits:
+    """S2 has m = (p-1)/f coefficients, and the battery's chirp runs over
+    those m points, not over p-1."""
+
+    def test_every_divisor_for_p_below_200(self):
+        pairs = 0
+        for p in (x for x in range(3, 200) if is_prime(x)):
+            v = primitive_root(p)
+            big_p = polynomial_P(p, v)
+            for f in (d for d in range(2, p) if (p - 1) % d == 0):
+                s2 = polynomial_S2(big_p, smallest_prime_with_order(p, f))
+                assert len(s2) == (p - 1) // f
+                u = canon_power(v, f, p)
+                assert fp_gr_eval_powers(s2, u, p) == [
+                    sum(c * pow(u, i * l, p) for i, c in enumerate(s2)) % p
+                    for l in range(len(s2))
+                ], (p, f)
+                pairs += 1
+        assert pairs == 308
+
+    @pytest.mark.parametrize("p, q", [(7, 2), (7, 13), (11, 3), (13, 2), (31, 2), (101, 3)])
+    def test_battery_multiplies_m_and_2m_minus_1_entries(self, monkeypatch, p, q):
+        sizes = []
+        real = groupring.packed_mul
+
+        def recorded(a, b, *args):
+            sizes.append((len(a), len(b)))
+            return real(a, b, *args)
+
+        monkeypatch.setattr(groupring, "packed_mul", recorded)
+        m = principality_test(p, q).m
+        assert m == (p - 1) // multiplicative_order(q, p)
+        assert sizes == [(m, 2 * m - 1)]
 
 
 class TestHalfDegree:

@@ -105,7 +105,7 @@ CHIRP_CASES = [
 @pytest.mark.parametrize("p,v", CHIRP_CASES)
 def test_chirp_values_match_horner(p, v):
     q_poly = polynomial_Q(p, v)
-    assert fp_gr_eval_powers(q_poly, v) == [
+    assert fp_gr_eval_powers(q_poly, v, p) == [
         fp_gr_eval(q_poly, canon_power(v, n, p)) for n in range(p - 1)
     ]
 

@@ -52,9 +52,9 @@ def test_class_level_paths_are_the_two_products():
 def test_term_pair_hook_can_coerce():
     # the term-pair count calls a._coerce(b) on the product's operands
     assert CycInt.zeta(5)._coerce(2) == CycInt.from_int(5, 2)
-    assert BiCycInt.from_int(5, 3, 1)._coerce(CycInt.zeta(5)) == BiCycInt.from_cyc(
-        CycInt.zeta(5), 3
-    )
+    one = BiCycInt.from_int(5, 3, 1)
+    assert one._coerce(2) == BiCycInt.from_int(5, 3, 2)
+    assert one._coerce(one) is one
 
 
 def test_bernoulli_cache_is_a_list():
