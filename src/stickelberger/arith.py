@@ -258,7 +258,7 @@ class FieldDesc(NamedTuple):
 
     f is the multiplicative order of q mod p, `modulus` a monic irreducible
     of degree f over F_q (coefficients low-to-high, length f+1; for f=1 the
-    polynomial x is used and elements are plain residues), `generator` a
+    search gives x, so elements are plain residues), `generator` a
     generator of the multiplicative group found by lexicographic search,
     and `zeta_p_image` = generator^((q^f-1)/p), of order exactly p.
 
@@ -277,13 +277,6 @@ class FieldDesc(NamedTuple):
     @property
     def order(self) -> int:
         return self.q ** self.f
-
-
-def _poly_trim(a):
-    n = len(a)
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
 
 
 def _poly_mulmod(a, b, modulus, q):
@@ -315,31 +308,19 @@ def _poly_powmod(a, e, modulus, q):
     return result
 
 
-def _poly_gcd(a, b, q):
-    a = list(_poly_trim(a))
-    b = list(_poly_trim(b))
-    while b:
-        # reduce a mod b (b made monic on the fly)
-        inv_lead = pow(b[-1], -1, q)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv_lead % q
-            shift = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * x) % q
-            a = list(_poly_trim(a))
-        a, b = b, a
-    return tuple(a)
-
-
 def _is_irreducible(modulus, q, f):
-    # x^(q^f) == x mod modulus, and x^(q^(f/ell)) - x coprime to modulus
-    x = (0, 1) + (0,) * (f - 2) if f >= 2 else (0,)
+    """Rabin's test.  x^(q^f) == x mod F = modulus makes F_q[x]/(F) a product
+    of fields F_(q^d), d | f, where a nonzero h has h^(q^f-1) = 1: so h is
+    prime to F exactly when h^(q^f-1) == 1 mod F.  F is irreducible when that
+    holds for h = x^(q^(f/ell)) - x at each prime ell | f, since a factor of
+    degree d < f has d | f/ell for some ell and then divides that h."""
+    x = (0, 1) + (0,) * (f - 2) if f >= 2 else (-modulus[0] % q,)
     if _poly_powmod(x, q ** f, modulus, q) != x:
         return False
     for ell in factorize(f):
         frob = _poly_powmod(x, q ** (f // ell), modulus, q)
         diff = tuple((frob[i] - x[i]) % q for i in range(f))
-        if len(_poly_gcd(diff, modulus, q)) != 1:
+        if _poly_powmod(diff, q ** f - 1, modulus, q) != (1,) + (0,) * (f - 1):
             return False
     return True
 
@@ -351,9 +332,10 @@ def _vectors(q, f):
 
 
 def _find_modulus(q, f):
-    # monic x^f + low, low enumerated by _vectors with nonzero constant term
+    # the first irreducible x^f + low in _vectors order: for f >= 2 the test
+    # rejects a low with zero constant term (x | F); for f = 1 it takes x
     for low in _vectors(q, f):
-        if low[0] and _is_irreducible(low + (1,), q, f):
+        if _is_irreducible(low + (1,), q, f):
             return low + (1,)
     raise VerificationError(f"no irreducible degree-{f} polynomial over F_{q}")
 
@@ -372,7 +354,8 @@ def field_make(p: int, q: int) -> FieldDesc:
     """Build the residue field description for a prime q =/= p.
 
     f is computed as the multiplicative order of q mod p; the modulus and
-    group generator are found by deterministic lexicographic search.
+    group generator are found by one deterministic lexicographic search for
+    every f (for f = 1: x and the smallest primitive root mod q).
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
@@ -381,22 +364,14 @@ def field_make(p: int, q: int) -> FieldDesc:
     if q == p:
         raise ValueError("q must differ from p")
     f = multiplicative_order(q, p)
-    if f == 1:
-        modulus = (0, 1)
-        g0 = (primitive_root(q),)
-    else:
-        modulus = _find_modulus(q, f)
-        g0 = _find_generator(modulus, q, f)
+    modulus = _find_modulus(q, f)
+    g0 = _find_generator(modulus, q, f)
     zeta = _poly_powmod(g0, (q ** f - 1) // p, modulus, q)
     fd = FieldDesc(p=p, q=q, f=f, modulus=modulus, generator=g0, zeta_p_image=zeta)
-    if not _ff_order_is_p(fd):
+    one = (1,) + (0,) * (f - 1)
+    if zeta == one or ff_pow(zeta, p, fd) != one:
         raise VerificationError("zeta_p_image must have order exactly p")
     return fd
-
-
-def _ff_order_is_p(fd):
-    one = (1,) + (0,) * (fd.f - 1)
-    return fd.zeta_p_image != one and ff_pow(fd.zeta_p_image, fd.p, fd) == one
 
 
 def ff_mul(a, b, fd: FieldDesc):

@@ -3,7 +3,7 @@ against.  Nothing here is used by the package itself.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -142,6 +142,23 @@ def four_term_grid(p, q, grid) -> BiCycInt:
 def ff_elements(fd: FieldDesc):
     """All nonzero field elements, in the order of the generator search."""
     return islice(_vectors(fd.q, fd.f), 1, None)
+
+
+def irreducible_by_trial_division(F, q) -> bool:
+    """A monic F of degree f over F_q (coefficients low-to-high) is
+    irreducible when no monic polynomial of degree 1..f//2 divides it:
+    the remainder of F by every such g is computed by long division."""
+    f = len(F) - 1
+    for d in range(1, f // 2 + 1):
+        for low in product(range(q), repeat=d):
+            rem = list(F)
+            for top in range(f, d - 1, -1):
+                c = rem[top] % q
+                for i, y in enumerate(low + (1,)):
+                    rem[top - d + i] -= c * y
+            if not any(c % q for c in rem[:d]):
+                return False
+    return True
 
 
 def full_walk_grid(fd: FieldDesc):

@@ -25,7 +25,12 @@ from stickelberger.arith import (
     residue_char_exponent,
     signed_packed_mul,
 )
-from reference import ff_elements, is_prime_first_bases, smallest_prime_with_order
+from reference import (
+    ff_elements,
+    irreducible_by_trial_division,
+    is_prime_first_bases,
+    smallest_prime_with_order,
+)
 
 ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
 
@@ -292,12 +297,12 @@ FIELD_PAIRS = [
 
 
 def reference_modulus(q, f):
-    """The first irreducible x^f + c_(f-1) x^(f-1) + ... + c_0 with c_0 != 0,
-    counting n = c_0 + c_1 q + ... in base q."""
+    """The first irreducible x^f + c_(f-1) x^(f-1) + ... + c_0, counting
+    n = c_0 + c_1 q + ... in base q, by trial division."""
     for n in range(q**f):
-        digits = [n // q**i % q for i in range(f)]
-        if digits[0] and _is_irreducible(tuple(digits) + (1,), q, f):
-            return tuple(digits) + (1,)
+        modulus = tuple(n // q**i % q for i in range(f)) + (1,)
+        if irreducible_by_trial_division(modulus, q):
+            return modulus
 
 
 def reference_generator(modulus, q, f):
@@ -346,13 +351,32 @@ class TestFieldMake:
     def test_search_order_is_frozen(self, p, q):
         fd = field_make(p, q)
         f = multiplicative_order(q, p)
+        modulus = reference_modulus(q, f)
+        generator = reference_generator(modulus, q, f)
         if f == 1:
-            modulus, generator = (0, 1), (primitive_root(q),)
-        else:
-            modulus = reference_modulus(q, f)
-            generator = reference_generator(modulus, q, f)
+            assert (modulus, generator) == ((0, 1), (primitive_root(q),))
         zeta = _poly_powmod(generator, (q**f - 1) // p, modulus, q)
         assert (fd.modulus, fd.generator, fd.zeta_p_image) == (modulus, generator, zeta)
+
+
+class TestIrreducible:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_every_monic_polynomial_up_to_4096(self, q):
+        f = 1
+        while q**f <= 4096:
+            for n in range(q**f):
+                modulus = tuple(n // q**i % q for i in range(f)) + (1,)
+                expected = irreducible_by_trial_division(modulus, q)
+                assert _is_irreducible(modulus, q, f) == expected, modulus
+            f += 1
+
+    def test_only_the_unit_step_rejects_a_product_of_degrees_dividing_f(self):
+        # 1 + x + x^4 + x^6 = (x + 1)(x^2 + x + 1)(x^3 + x + 1) over F_2
+        modulus = (1, 1, 0, 0, 1, 0, 1)
+        x = (0, 1, 0, 0, 0, 0)
+        assert _poly_powmod(x, 2**6, modulus, 2) == x
+        assert not irreducible_by_trial_division(modulus, 2)
+        assert not _is_irreducible(modulus, 2, 6)
 
 
 class TestResidueChar:

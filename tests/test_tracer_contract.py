@@ -3,8 +3,8 @@ looks for them.  A rename or a method moved into a base class would
 otherwise break `perfbench/run.py --trace 1` with an AttributeError, or
 silently drop its spans.  The tracer is read from its file, never
 imported as a package and never installed.  Its names also bound `src/`
-from the other side: a public definition that neither `src/` code nor the
-tracer reads is test-only.
+from the other side: a top-level definition, public or private, that
+neither `src/` code nor the tracer reads is test-only or dead.
 """
 
 import ast
@@ -72,8 +72,9 @@ def _names_read(node):
 
 
 def test_every_public_definition_is_used_by_src_or_traced():
-    # a top-level function or class that no src/ code reads and the tracer
-    # does not wrap is test-only and belongs in tests/reference.py
+    # a top-level function or class, public or private, that no src/ code
+    # reads and the tracer does not wrap is test-only or dead: it belongs in
+    # tests/reference.py or nowhere
     statements = [
         stmt for path in SRC_MODULES for stmt in ast.parse(path.read_text()).body
     ]
@@ -83,7 +84,6 @@ def test_every_public_definition_is_used_by_src_or_traced():
         stmt.name
         for i, stmt in enumerate(statements)
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
         and stmt.name not in traced
         and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
     ]
