@@ -12,10 +12,11 @@ p, q = (int(a) for a in sys.argv[1:3]) if len(sys.argv) > 2 else (5, 11)
 record = build_record(p, q)
 
 print(f"g(q) for p = {p}, q = {q}: inertial degree f = {record.f}")
-print()
-print("g as a matrix over zeta_p^i zeta_q^j:")
-for row in record.g.coeffs:
-    print("  ", row)
+if record.f == 1:
+    print()
+    print("g as a matrix over zeta_p^i zeta_q^j:")
+    for row in record.g.coeffs:
+        print("  ", row)
 print()
 print("g * conj(g) =", f"q^f = {q}^{record.f}:",
       record.checks["g_times_conj_equals_q_to_f"])
@@ -36,7 +37,7 @@ if record.f == 1:
 else:
     print()
     print("inert case extras")
-    print("  g lives in Z[zeta_p]:", record.g_cyc.coeffs)
+    print("  g lives in Z[zeta_p]:", record.g.coeffs)
     print("  |norm(g)| = q^(f * (p-1)/2):",
           record.checks["norm_g_equals_q_to_s2_weight"])
     print("  v(G + 1) =", lambda_valuation(record.G + 1), f">= p+1 = {p + 1}")

@@ -53,17 +53,19 @@ MAX_SCAN_PMAX = 10_000
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
 # each bound lets through and the first ones beyond it (cold, median of 3
 # runs, 2-vCPU VM, Python 3.11):
-# - p: G = g_cyc ** p for f > 1 and the valuations of G grow with p.  The
+# - p: G = g ** p for f > 1 and the valuations of G grow with p.  The
 #   bound is not where time jumps: (421, 29) took 4.3 s and (631, 43)
 #   4.0 s, and beyond it (757, 3) took 3.5 s (build_record in a fresh
-#   process), 2.3 s of it in g_cyc ** p.  It caps that power's size and
+#   process), 2.3 s of it in g ** p.  It caps that power's size and
 #   keeps the slowest p-bounded pairs measured under about 5 s.
 # - (p-1)(q-1), the number of entries of g in Z[zeta_pq]: split pairs with
 #   large p cost the most, (239, 479) took 4.2 s, and beyond the bound
 #   (251, 503) took 6.4 s; small p costs less, (3, 59971) took 3.6 s.
-#   The inert (571, 109), 61560 entries, took 4.4 s, most of it in
-#   g_cyc ** p and norm(g_cyc); (13, 1013) took 0.24 s (5.7 s with the
-#   walk of one field product per element).
+#   The inert (571, 109), 61560 entries in the JSON embedding of g, took
+#   2.4 s and 24 MB peak RSS (3.1 s and 36 MB when g was reduced in
+#   Z[zeta_pq]), most of it in g ** p and norm(g) in Z[zeta_p];
+#   (13, 1013) took 0.24 s (5.7 s with the walk of one field product per
+#   element).
 # - q^f, the number of field elements: the character walk takes one step
 #   per coset of F_q^*, (q^f-1)/(q-1) steps, so q = 2 walks the most.
 #   (337, 2), a field of 2^21 elements, took 4.1 s, (41, 2) 1.5 s (23 s

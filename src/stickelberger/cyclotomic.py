@@ -248,14 +248,6 @@ class BiCycInt(CoeffVector):
         """Complex conjugation: inverts both roots of unity."""
         return self.galois(self.p - 1, self.q - 1)
 
-    def in_zeta_p_subring(self):
-        return all(c == 0 for row in self.coeffs for c in row[1:])
-
-    def to_cyc(self) -> CycInt:
-        if not self.in_zeta_p_subring():
-            raise ValueError("element has nonzero zeta_q part")
-        return CycInt(self.p, tuple(row[0] for row in self.coeffs))
-
     def to_json_obj(self):
         return {
             "p": self.p,

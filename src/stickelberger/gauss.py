@@ -1,23 +1,25 @@
 """Gauss sums g(q) over the residue fields of Z[zeta_p], their p-th powers
 G = g^p in Z[zeta_p], and machine verification of the structural facts
-they satisfy: g * conj(g) = q^f, collapse into Z[zeta_p] for f > 1, the
-resolvent form and its tau-twist exponent rho for split q, the ideal
-factorization of G through the Stickelberger element, and the sharp
-lambda-adic valuations of g^p + 1.
+they satisfy: g * conj(g) = q^f, the resolvent form and its tau-twist
+exponent rho for split q, the ideal factorization of G through the
+Stickelberger element, and the sharp lambda-adic valuations of g^p + 1.
 
-G is never a power in Z[zeta_pq].  For split q, the exact tau(g) =
-zeta_p^rho g puts G in Z[zeta_p], and G comes from its values at the roots
-of Phi_p modulo a power of a prime ell = 1 (mod pq)
-(`cyclotomic.zeta_p_power`).  For f > 1, g itself lies in Z[zeta_p] and
-G is its power there.
+g lives in Z[zeta_pq] for split q and in Z[zeta_p] for f > 1, and is
+built in the ring it lives in.  G is never a power in Z[zeta_pq].  For
+split q, the exact tau(g) = zeta_p^rho g puts G in Z[zeta_p], and G comes
+from its values at the roots of Phi_p modulo a power of a prime
+ell = 1 (mod pq) (`cyclotomic.zeta_p_power`).  For f > 1, G is the power
+of g in Z[zeta_p].
 
-g is summed on a grid filled by one walk over the powers of the field
+g is summed from the counts of one walk over the powers of the field
 generator with no product in the field (`_character_grid`): the traces
 follow the recurrence of the generator's minimal polynomial, and for
-f > 1 one step stands for a coset of F_q^*.  The walk costs q^f/(q-1)
-steps of f terms, so q = 2 walks the most: cold, `gauss verify` on
-(337, 2), a field of 2^21 elements, took 4.1 s, and (41, 2) 1.5 s where
-the walk of one field product per element took 23 s.
+f > 1 one step stands for a coset of F_q^*, whose elements share one
+character, so a row of counts gives g's coefficient on one power of
+zeta_p.  The walk costs q^f/(q-1) steps of f terms, so q = 2 walks the
+most: cold, `gauss verify` on (337, 2), a field of 2^21 elements, took
+4.1 s, and (41, 2) 1.5 s where the walk of one field product per element
+took 23 s.
 
 A record's `checks` dict holds hard verification results (all must be
 true); `flags` holds convention diagnostics that never fail a record.
@@ -40,6 +42,7 @@ from .arith import (
 from .cyclotomic import (
     BiCycInt,
     CycInt,
+    _reduce_exponents,
     _valuation_bound,
     bi_lambda_valuation,
     hensel_roots,
@@ -58,9 +61,8 @@ class GaussSumRecord(NamedTuple):
     q: int
     f: int
     v: int
-    g: BiCycInt
-    g_cyc: CycInt | None  # collapse of g when f > 1
-    G: CycInt  # g^p in Z[zeta_p]: from its values mod ell^k, or g_cyc ** p
+    g: BiCycInt | CycInt  # in Z[zeta_pq] for split q, in Z[zeta_p] when f > 1
+    G: CycInt  # g^p in Z[zeta_p]: from its values mod ell^k, or g ** p
     rho: int | None  # tau-twist exponent, split case only
     valuation_profile: dict | None  # ideal label -> valuation of G
     checks: dict
@@ -71,13 +73,20 @@ class GaussSumRecord(NamedTuple):
         return all(bool(x) for x in self.checks.values())
 
     def to_json_obj(self):
+        g = g_in_zeta_p = self.g.to_json_obj()
+        if self.f == 1:
+            g_in_zeta_p = None
+        else:
+            # "g" is the embedding in Z[zeta_pq]: g's coefficients on zeta_q^0
+            zeros = ["0"] * (self.q - 2)
+            g = {"p": self.p, "q": self.q, "coeffs": [[c] + zeros for c in g["coeffs"]]}
         return {
             "p": self.p,
             "q": self.q,
             "f": self.f,
             "v": self.v,
-            "g": self.g.to_json_obj(),
-            "g_in_zeta_p": self.g_cyc.to_json_obj() if self.g_cyc else None,
+            "g": g,
+            "g_in_zeta_p": g_in_zeta_p,
             "G": self.G.to_json_obj(),
             "rho": self.rho,
             "valuation_profile": (
@@ -112,9 +121,9 @@ def _recurrence(powers, q):
 
 
 def _character_grid(fd: FieldDesc):
-    """Accumulate the defining sum on the raw exponent grid
-    zeta_p^(-c(x)) zeta_q^(Tr x), before any basis reduction; column 0 is
-    the sum over trace-zero x.  No step multiplies in the field.
+    """Count the walk's steps on the p x q grid of exponents
+    zeta_p^(-c(x)) zeta_q^(Tr x), before any basis reduction; column 0
+    counts trace-zero steps.  No step multiplies in the field.
 
     x runs over gen^k.  Since zeta_p_image = gen^((q^f-1)/p), the
     character exponent of gen^k is c = k mod p.  The traces t_k = Tr gen^k
@@ -124,12 +133,13 @@ def _character_grid(fd: FieldDesc):
     come from one f x f solve mod q (`_recurrence`), and t_0..t_(f-1) from
     `ff_trace` (which checks that each lands in F_q).
 
-    For f > 1 the walk takes one step per coset of F_q^*, k < e =
-    (q^f-1)/(q-1): p divides e, so gen^e, which generates F_q^*, leaves
-    the character alone, and Tr(lambda x) = lambda Tr(x).  A step with
-    t_k = 0 counts q-1 trace-zero elements in row -k mod p; any other step
-    counts one element in each nonzero column.  For f = 1 the same loop
-    takes all q-1 steps, with t_(k+1) = gen t_k.
+    For f = 1 the loop takes all q-1 steps, with t_(k+1) = gen t_k, and
+    the grid is the defining sum itself.  For f > 1 it takes one step per
+    coset of F_q^*, k < e = (q^f-1)/(q-1): p divides e, so gen^e, which
+    generates F_q^*, leaves the character alone, and Tr(lambda x) =
+    lambda Tr(x).  A step with t_k = 0 stands for q-1 trace-zero elements
+    in row -k mod p; any other step for one element in each nonzero
+    column, so the coset sums to q-1 or to -1 (`gauss_sum`).
 
     VerificationError unless gen^(q^f-1) = 1 and gen^((q^f-1)/ell) != 1
     for each prime ell | q^f-1, which proves ord(gen) = q^f-1, so the
@@ -155,9 +165,7 @@ def _character_grid(fd: FieldDesc):
     for k in range(n // (q - 1) if f > 1 else n):
         walked[-k % p][window[0]] += 1
         window.append(sum(map(mul, window, a)) % q)
-    if f == 1:
-        return walked
-    return [[(q - 1) * row[0]] + [sum(row) - row[0]] * (q - 1) for row in walked]
+    return walked
 
 
 def resolvent_form(p: int, q: int, rho: int) -> BiCycInt:
@@ -265,15 +273,16 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
     v = primitive_root(p)
     f = fd.f
     grid = _character_grid(fd)
-    g = BiCycInt.from_exponent_grid(p, q, grid)
+    if f == 1:
+        g = BiCycInt.from_exponent_grid(p, q, grid)
+    else:
+        # a coset of Z trace-zero steps among S sums to Z(q-1) - (S-Z)
+        # (zeta_q + ... + zeta_q^(q-1) = -1), so g lies in Z[zeta_p]
+        g = CycInt(p, _reduce_exponents(p, [q * row[0] - sum(row) for row in grid]))
 
-    checks = {}
+    checks = {"g_times_conj_equals_q_to_f": g * g.conj() == q ** f}
     flags = {}
 
-    conj_product = g * g.conj()
-    checks["g_times_conj_equals_q_to_f"] = conj_product == q ** f
-
-    g_cyc = None
     rho = None
     profile = None
 
@@ -317,24 +326,19 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         checks["pi_adic_branch_exact"] = pi_profile.pop("branch_exact")
         flags.update(pi_profile)
     else:
-        if not g.in_zeta_p_subring():
-            raise VerificationError(
-                f"f={f} > 1 but g kept a zeta_q part for (p, q)=({p}, {q})"
-            )
-        g_cyc = g.to_cyc()
-        G = g_cyc ** p
+        G = g ** p
         checks["G_in_zeta_p"] = True
         checks["g_in_zeta_p"] = True
         s2 = polynomial_S2(polynomial_P(p, v), q)
         weight = sum(s2)
-        checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g_cyc)) == q ** (f * weight)
+        checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g)) == q ** (f * weight)
         checks["s2_weight_is_half_group_sum"] = p * weight == p * (p - 1) // 2
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.
-        checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g_cyc + 1) >= 1
+        checks["g_congruent_minus_one_mod_pi"] = lambda_valuation(g + 1) >= 1
         checks["G_plus_one_above_split_floor"] = _power_plus_one_valuation(G, 1) >= p + 1
         if f % 2 == 0:
-            checks["g_is_unit_times_q_half_f"] = _is_unit_times_power(g_cyc, q, f)
+            checks["g_is_unit_times_q_half_f"] = _is_unit_times_power(g, q, f)
 
     return GaussSumRecord(
         p=p,
@@ -342,7 +346,6 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         f=f,
         v=v,
         g=g,
-        g_cyc=g_cyc,
         G=G,
         rho=rho,
         valuation_profile=profile,
@@ -356,14 +359,12 @@ def build_record(p: int, q: int) -> GaussSumRecord:
     return gauss_sum(field_make(p, q))
 
 
-def _is_unit_times_power(g_cyc: CycInt, q, f):
+def _is_unit_times_power(g: CycInt, q, f):
     """For even f: g must be +-zeta_p^w q^(f/2).  In the reduced basis that
     is either a single coefficient +-q^(f/2), or all coefficients equal to
     -+q^(f/2) (when w = p-1 folds)."""
     magnitude = q ** (f // 2)
-    nonzero = [c for c in g_cyc.coeffs if c]
+    nonzero = [c for c in g.coeffs if c]
     if len(nonzero) == 1 and abs(nonzero[0]) == magnitude:
         return True
-    return all(abs(c) == magnitude for c in g_cyc.coeffs) and len(
-        set(g_cyc.coeffs)
-    ) == 1
+    return len(set(g.coeffs)) == 1 and abs(g.coeffs[0]) == magnitude

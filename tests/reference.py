@@ -120,10 +120,18 @@ def embed(a: CycInt, q) -> BiCycInt:
     return BiCycInt(a.p, q, rows)
 
 
+def to_cyc(b: BiCycInt) -> CycInt:
+    """b as an element of Z[zeta_p], its zeta_q^0 column; ValueError when
+    b has a nonzero zeta_q part."""
+    if any(c for row in b.coeffs for c in row[1:]):
+        raise ValueError("element has nonzero zeta_q part")
+    return CycInt(b.p, tuple(row[0] for row in b.coeffs))
+
+
 def power_in_zeta_pq(g: BiCycInt) -> CycInt:
     """G = g^p by ring products in Z[zeta_pq], read off the zeta_q^0 column;
     ValueError unless the power lies in Z[zeta_p]."""
-    return (g ** g.p).to_cyc()
+    return to_cyc(g ** g.p)
 
 
 def four_term_grid(p, q, grid) -> BiCycInt:
@@ -161,10 +169,24 @@ def irreducible_by_trial_division(F, q) -> bool:
     return True
 
 
+def coset_grid_expanded(fd: FieldDesc, grid):
+    """The walk's counts from `gauss._character_grid` as counts of field
+    elements: for f > 1 a trace-zero step stands for q-1 elements in
+    column 0 and any other step for one element in each nonzero column,
+    so row r becomes [(q-1) Z_r] + [S_r - Z_r] * (q-1), with Z_r its
+    trace-zero steps and S_r all its steps.  For f = 1 each step is one
+    element already."""
+    if fd.f == 1:
+        return grid
+    q = fd.q
+    return [[(q - 1) * row[0]] + [sum(row) - row[0]] * (q - 1) for row in grid]
+
+
 def full_walk_grid(fd: FieldDesc):
-    """The character grid of `gauss._character_grid` by one field product
-    per element: x = gen^k over k = 0..q^f-2 lands in row -k mod p and in
-    the column of Tr x, the dot product of x with the basis traces.
+    """The grid of `gauss._character_grid`, as counts of field elements
+    (`coset_grid_expanded`), by one field product per element: x = gen^k
+    over k = 0..q^f-2 lands in row -k mod p and in the column of Tr x, the
+    dot product of x with the basis traces.
     VerificationError unless x first returns to 1 at step q^f-1, which
     proves that every nonzero element was visited exactly once."""
     p, q, f = fd.p, fd.q, fd.f

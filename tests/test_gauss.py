@@ -41,20 +41,35 @@ from stickelberger.gauss import (
     resolvent_form,
 )
 from stickelberger.groupring import polynomial_P, polynomial_S2
-from reference import embed, ff_elements, full_walk_grid, power_in_zeta_pq
+from reference import (
+    coset_grid_expanded,
+    embed,
+    ff_elements,
+    full_walk_grid,
+    power_in_zeta_pq,
+    to_cyc,
+)
 
 SPLIT_PAIRS = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23)]
 INERT_PAIRS = [(5, 3), (7, 2), (11, 3), (5, 7)]
 
 
-def complex_value(b: BiCycInt):
+def complex_value(b: BiCycInt | CycInt):
     zp = cmath.exp(2j * cmath.pi / b.p)
+    if isinstance(b, CycInt):
+        return sum(c * zp**i for i, c in enumerate(b.coeffs))
     zq = cmath.exp(2j * cmath.pi / b.q)
     return sum(
         c * zp**i * zq**j
         for i, row in enumerate(b.coeffs)
         for j, c in enumerate(row)
     )
+
+
+def g_in_zeta_pq(record):
+    """The record's g as an element of Z[zeta_pq]; for f > 1 the record
+    holds it in Z[zeta_p]."""
+    return record.g if record.f == 1 else embed(record.g, record.q)
 
 
 def direct_complex_sum(fd):
@@ -201,19 +216,42 @@ class TestResolvent:
 
 
 class TestInertStructure:
-    @pytest.mark.parametrize("pair", INERT_PAIRS)
+    @pytest.mark.parametrize("pair", INERT_PAIRS + [(13, 2)])
     def test_g_collapses(self, pair):
-        record = build_record(*pair)
-        assert record.g.in_zeta_p_subring()
-        assert record.g_cyc is not None
+        # g is built in Z[zeta_p] from the coset counts; the per-element
+        # walk, reduced in Z[zeta_pq], must collapse to the same element
+        fd = field_make(*pair)
+        full = BiCycInt.from_exponent_grid(fd.p, fd.q, full_walk_grid(fd))
+        assert gauss_sum(fd).g == to_cyc(full)
+
+    def test_builds_nothing_in_z_zeta_pq(self, monkeypatch):
+        counts = Counter()
+        real_init, real_mul = BiCycInt.__init__, BiCycInt.__mul__
+
+        def counted_init(self, *args):
+            counts["BiCycInt"] += 1
+            real_init(self, *args)
+
+        def counted_mul(self, other):
+            counts["BiCycInt.__mul__"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(BiCycInt, "__init__", counted_init)
+        monkeypatch.setattr(BiCycInt, "__mul__", counted_mul)
+        for pair in INERT_PAIRS + [(13, 2)]:
+            assert build_record(*pair).ok
+        assert counts == {}
+        # the split record still builds and multiplies there
+        assert build_record(5, 11).ok
+        assert counts["BiCycInt"] > 0 and counts["BiCycInt.__mul__"] > 0
 
     def test_even_f_unit_form(self):
         # f = 4 for (5, 3): g = +-zeta^w * 9
         record = build_record(5, 3)
         assert record.checks["g_is_unit_times_q_half_f"]
-        nonzero = [c for c in record.g_cyc.coeffs if c]
+        nonzero = [c for c in record.g.coeffs if c]
         assert (len(nonzero) == 1 and abs(nonzero[0]) == 9) or all(
-            abs(c) == 9 for c in record.g_cyc.coeffs
+            abs(c) == 9 for c in record.g.coeffs
         )
 
     @pytest.mark.parametrize("pair", INERT_PAIRS)
@@ -222,7 +260,7 @@ class TestInertStructure:
         record = build_record(*pair)
         p, q, f = record.p, record.q, record.f
         weight = sum(polynomial_S2(polynomial_P(p, record.v), q))
-        assert abs(norm(record.g_cyc)) == q ** (f * weight)
+        assert abs(norm(record.g)) == q ** (f * weight)
         assert record.g * record.g.conj() == q**f
         assert record.checks["norm_g_equals_q_to_s2_weight"]
         assert record.checks["g_times_conj_equals_q_to_f"]
@@ -327,7 +365,7 @@ class TestCharacterWalk:
         for q in range(2, 4097):
             if is_prime(q) and q != p and q ** multiplicative_order(q, p) <= 4096:
                 fd = field_make(p, q)
-                grid = _character_grid(fd)
+                grid = coset_grid_expanded(fd, _character_grid(fd))
                 assert grid == full_walk_grid(fd) == per_element_grid(fd), (p, q)
                 fields += 1
         assert fields > 40
@@ -336,7 +374,7 @@ class TestCharacterWalk:
     def test_coset_walk_equals_full_walk(self, pair):
         fd = field_make(*pair)
         assert fd.f > 1 and fd.q > 2 and fd.order <= 10**5
-        assert _character_grid(fd) == full_walk_grid(fd)
+        assert coset_grid_expanded(fd, _character_grid(fd)) == full_walk_grid(fd)
 
     @pytest.mark.parametrize(
         "generator",
@@ -475,13 +513,13 @@ class TestGFromValues:
     )
     def test_equals_the_power_in_zeta_pq(self, pair):
         record = cached_record(*pair)
-        assert record.G == power_in_zeta_pq(record.g)
+        assert record.G == power_in_zeta_pq(g_in_zeta_pq(record))
 
     @settings(max_examples=25, deadline=None)
     @given(pair=st.sampled_from(SMALL_PAIRS))
     def test_equals_the_power_in_zeta_pq_on_small_pairs(self, pair):
         record = cached_record(*pair)
-        assert record.G == power_in_zeta_pq(record.g)
+        assert record.G == power_in_zeta_pq(g_in_zeta_pq(record))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

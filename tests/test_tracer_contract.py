@@ -3,13 +3,15 @@ looks for them.  A rename or a method moved into a base class would
 otherwise break `perfbench/run.py --trace 1` with an AttributeError, or
 silently drop its spans.  The tracer is read from its file, never
 imported as a package and never installed.  Its names also bound `src/`
-from the other side: a top-level definition, public or private, that
-neither `src/` code nor the tracer reads is test-only or dead.
+from the other side: a top-level definition, public or private, or a
+non-dunder method, that neither other `src/` code nor the tracer reads is
+test-only or dead.
 """
 
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,27 +66,38 @@ def test_bernoulli_cache_is_a_list():
 
 
 def _names_read(node):
-    return {
+    """How often each name is read in node, as a variable or an attribute."""
+    return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    )
 
 
 def test_every_public_definition_is_used_by_src_or_traced():
-    # a top-level function or class, public or private, that no src/ code
-    # reads and the tracer does not wrap is test-only or dead: it belongs in
+    # a top-level function or class, public or private, or a non-dunder
+    # method of a src/ class, that no src/ code other than itself reads
+    # and the tracer does not wrap is test-only or dead: it belongs in
     # tests/reference.py or nowhere
-    statements = [
-        stmt for path in SRC_MODULES for stmt in ast.parse(path.read_text()).body
-    ]
-    traced = {path.split(".")[0] for path in WRAPPED.values()}
-    reads = [_names_read(stmt) for stmt in statements]
+    modules = [ast.parse(path.read_text()) for path in SRC_MODULES]
+    definitions = []
+    for module in modules:
+        for stmt in module.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                definitions += [
+                    (f"{stmt.name}.{item.name}", item)
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    traced = set(WRAPPED.values()) | {path.split(".")[0] for path in WRAPPED.values()}
+    reads = sum(map(_names_read, modules), Counter())
     unused = [
-        stmt.name
-        for i, stmt in enumerate(statements)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name not in traced
-        and not any(stmt.name in names for j, names in enumerate(reads) if j != i)
+        path
+        for path, node in definitions
+        if path not in traced
+        and reads[node.name] == _names_read(node)[node.name]
     ]
     assert unused == []
