@@ -2,10 +2,13 @@
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (a VerificationError prints one `error:` line; a valuation that passes
-the norm bound of its element is one), 2 = bad input or
-configuration, among them an integer option that is not positive or
-exceeds its entry in LIMITS, and a `gauss verify` pair beyond
-MAX_RING_ENTRIES or MAX_FIELD_ORDER.
+the norm bound of its element is one) or a `--jobs` worker ended without
+a result (one `error:` line naming the worker and its wait status), 2 =
+bad input or configuration, among them an integer option that is not
+positive or exceeds its entry in LIMITS, `--jobs` above 1 where there is
+no os.fork, and a `gauss verify` pair beyond MAX_RING_ENTRIES or
+MAX_FIELD_ORDER.  An error raised in a worker is raised again in the
+parent and takes the same exit code.
 Reports carry no timestamps and all iteration orders are fixed, so
 identical invocations produce identical bytes regardless of the --jobs
 setting.  Every JSON report goes through one writer, `_json_text`, and
@@ -13,8 +16,6 @@ every report object through one encoder, `_encode`.
 """
 
 import argparse
-import contextlib
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -45,9 +46,10 @@ from .regularity import bernoulli_mod_p, q_root_scan
 SUITE_SPLIT_PAIRS = ((3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23))
 SUITE_INERT_PAIRS = ((5, 3), (7, 2), (11, 3), (5, 7))
 
-# Largest --pmax that scan-irregular and suite accept.  Scan time grows about
-# like pmax^2.2 (2.8 s at 2000); at this bound a single-job scan-irregular
-# took 94 s and 232 MB peak RSS on a 2-vCPU VM with Python 3.11.
+# Largest --pmax that scan-irregular and suite accept.  Scan time grows
+# faster than pmax^2: a cold scan-irregular --jobs 1 took 1.3 s at 2000,
+# 8.9 s at 5000 and, at this bound, 60 s and 20 MB peak RSS; --jobs 2 took
+# 29 s and 20 MB at this bound (one run each, 2-vCPU VM, Python 3.11).
 MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
@@ -101,8 +103,8 @@ MAX_P = 200_000
 # 14000-bit q would take minutes of Miller-Rabin before any output.
 MAX_Q = MILLER_RABIN_DETERMINISTIC_BOUND - 1
 
-# Largest --jobs.  With the fork start method a process pool starts all its
-# workers at its first task, so --jobs processes start at once.
+# Largest --jobs.  --jobs J runs J processes, the parent and J-1 children
+# forked at once, each taking every J-th item, so J processes run together.
 MAX_JOBS = 64
 
 # The integer options of every command, checked by `main` before any work:
@@ -133,6 +135,8 @@ def _limit_error(command, args):
             return f"{flag} must be positive"
         if limit is not None and value > limit:
             return f"{flag} must be at most {limit}"
+    if getattr(args, "jobs", 1) > 1 and not hasattr(os, "fork"):
+        return "--jobs above 1 needs os.fork, which this platform lacks"
     return None
 
 
@@ -204,25 +208,69 @@ def _coeff_strings(elt):
     return [str(c) for c in elt]
 
 
-@contextlib.contextmanager
-def _job_map(jobs):
-    """`map`, or the `map` of a pool of `jobs` worker processes over a
-    sequence, about four chunks per worker; either yields results in
-    input order."""
+def _job_map(fn, items, jobs):
+    """The list of fn over the sequence items, in input order.  With J =
+    min(jobs, len(items)) above 1, J processes share the work: this one and
+    J-1 forked children, process k taking items[k::J].  Each child sends
+    its results, or the exception that stopped it, back through a pipe; the
+    exception is raised here, and a child that ends without a result raises
+    ChildProcessError.  Every child is reaped before this returns or
+    raises."""
+    jobs = min(jobs, len(items))
     if jobs <= 1:
-        yield map
-        return
-    # imported here: a single-job run does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        return list(map(fn, items))
+    import pickle  # only a forked run loads it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield lambda fn, items: pool.map(
-            fn, items, chunksize=max(1, math.ceil(len(items) / (4 * jobs)))
-        )
+    children = []  # (pid, read end of the child's pipe)
+    try:
+        for k in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                parent_fds = [read_fd] + [pipe.fileno() for _, pipe in children]
+                _child_share(fn, items[k::jobs], write_fd, parent_fds)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        shares = [list(map(fn, items[::jobs]))]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for k, (data, status) in enumerate(zip(sent, statuses), 1):
+        if status or not data:
+            raise ChildProcessError(
+                f"worker {k} of {jobs} ended without a result (wait status {status})"
+            )
+        done, value = pickle.loads(data)
+        if not done:
+            raise value
+        shares.append(value)
+    return [shares[i % jobs][i // jobs] for i in range(len(items))]
 
 
-def _scan_worker(p):
-    return q_root_scan(p)
+def _child_share(fn, share, write_fd, parent_fds):
+    """The whole life of a forked child: pickle (True, results) or (False,
+    exception) into the pipe and leave by os._exit, so that the child never
+    returns into the parent's code, runs no exit handler and flushes no
+    buffer it inherited (stdout among them).  It exits 0 only once the
+    whole pickle is written.  It first closes the read ends it inherited,
+    so that a write to a pipe the parent has closed fails at once."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        try:
+            message = (True, [fn(item) for item in share])
+        except Exception as exc:
+            message = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _primes_upto(n):
@@ -230,9 +278,10 @@ def _primes_upto(n):
     return _primes_below(n + 1)[1:]
 
 
-def _scan_row(vd):
-    """The TSV row of one verdict, with what the summary needs, so that
-    the verdict (and its p/2 root exponents) can be dropped at once."""
+def _scan_row(p):
+    """The TSV row of p's verdict, with what the summary needs; the verdict
+    and its p/2 root exponents are dropped in the process that made them."""
+    vd = q_root_scan(p)
     row = "\t".join(
         (
             str(vd.p),
@@ -249,8 +298,7 @@ def cmd_scan_irregular(args, out):
     primes = _primes_upto(args.pmax)
     # rows are printed only after the whole scan, so a failed check leaves
     # stdout empty
-    with _job_map(args.jobs) as job_map:
-        rows = list(map(_scan_row, job_map(_scan_worker, primes)))
+    rows = _job_map(_scan_row, primes, args.jobs)
     _emit(f"# stickelberger {__version__}", out)
     _emit(f"# scan-irregular pmax={args.pmax}", out)
     _emit("p\tverdict\todd_roots\tirregular_indices\tagreement", out)
@@ -360,9 +408,8 @@ def _suite_gauss_item(pair):
 def cmd_suite(args, out):
     """One deterministic report over the whole verification battery."""
     primes = _primes_upto(args.pmax)
-    with _job_map(args.jobs) as job_map:
-        scan = list(job_map(_scan_worker, primes))
-        gauss = list(job_map(_suite_gauss_item, SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS))
+    scan = _job_map(q_root_scan, primes, args.jobs)
+    gauss = _job_map(_suite_gauss_item, SUITE_SPLIT_PAIRS + SUITE_INERT_PAIRS, args.jobs)
     principality = [principality_test(p, q) for (p, q) in SUITE_INERT_PAIRS]
     corollaries = [half_degree_corollary(p) for p in primes if p % 4 == 3 and p > 3]
     failures = (
@@ -473,6 +520,9 @@ def main(argv=None, out=None):
         return 1
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 1
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

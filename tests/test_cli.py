@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickelberger import arith, cli, cyclotomic, gauss, groupring, principality
+from stickelberger import arith, cli, cyclotomic, gauss, groupring, principality, regularity
 from stickelberger.cli import (
     LIMITS,
     MAX_FIELD_ORDER,
@@ -65,13 +66,102 @@ def test_consecutive_runs_byte_identical(name):
     assert first == second
 
 
+def _assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_jobs_do_not_change_bytes():
-    _, serial = run_cli(["suite", "--pmax", "40"])
-    _, parallel = run_cli(["suite", "--pmax", "40", "--jobs", "3"])
-    assert serial == parallel
-    _, scan_serial = run_cli(["scan-irregular", "--pmax", "60"])
-    _, scan_parallel = run_cli(["scan-irregular", "--pmax", "60", "--jobs", "3"])
-    assert scan_serial == scan_parallel
+    # more jobs than items (4 primes, 10 pairs) and no items at all included
+    for argv, jobs in [
+        (["suite", "--pmax", "40"], "3"),
+        (["scan-irregular", "--pmax", "60"], "3"),
+        (["suite", "--pmax", "12"], "8"),
+        (["scan-irregular", "--pmax", "2"], "2"),
+    ]:
+        serial = run_cli(argv)
+        assert run_cli([*argv, "--jobs", jobs]) == serial
+        _assert_no_child_left()
+
+
+class TestForkedJobs:
+    """`--jobs 2` over the odd primes up to 60: the parent scans items[0::2],
+    among them p = 37, and its child items[1::2], among them p = 59; both
+    are irregular, so Horner's rule re-checks their odd roots."""
+
+    ARGV = ["scan-irregular", "--pmax", "60", "--jobs", "2"]
+
+    @pytest.mark.parametrize("p", [37, 59])
+    def test_failed_check_in_either_share_exits_1(self, monkeypatch, capsys, p):
+        real = groupring.fp_gr_eval
+        horner_here = []
+
+        def sabotage(g, x):
+            horner_here.append(len(g) + 1)
+            return 1 if len(g) == p - 1 else real(g, x)
+
+        monkeypatch.setattr("stickelberger.regularity.fp_gr_eval", sabotage)
+        code, text = run_cli(self.ARGV)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: verification failed: Q(v^")
+        assert err[0].endswith(f"mod {p}: chirp and Horner disagree")
+        # 37 is checked in this process; 59 only in the child
+        assert (37 in horner_here, 59 in horner_here) == (True, False)
+        _assert_no_child_left()
+
+    def test_value_error_in_a_child_exits_2(self, monkeypatch, capsys):
+        real = regularity.q_root_scan
+
+        def refuse(p):
+            if p == 59:
+                raise ValueError(f"p={p} refused in pid {os.getpid()}")
+            return real(p)
+
+        monkeypatch.setattr("stickelberger.cli.q_root_scan", refuse)
+        code, text = run_cli(self.ARGV)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: p=59 refused in pid ")
+        assert int(err[0].rpartition(" ")[2]) != os.getpid()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "end, status",
+        [(lambda: os._exit(3), 3 << 8), (lambda: os.kill(os.getpid(), signal.SIGKILL), 9)],
+        ids=["exit", "kill"],
+    )
+    def test_child_without_a_result_exits_1(self, monkeypatch, capsys, end, status):
+        real = regularity.q_root_scan
+        parent = os.getpid()
+
+        def die(p):
+            if p == 59 and os.getpid() != parent:
+                end()
+            return real(p)
+
+        monkeypatch.setattr("stickelberger.cli.q_root_scan", die)
+        code, text = run_cli(self.ARGV)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: worker 1 of 2 ended without a result (wait status {status})"]
+        _assert_no_child_left()
+
+    def test_jobs_without_fork_exit_2_before_any_work(self, monkeypatch, capsys):
+        def started(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.delattr(os, "fork")
+        code, text = run_cli(["scan-irregular", "--pmax", "40", "--jobs", "1"])
+        assert code == 0 and text == (GOLDEN_DIR / "scan_irregular_pmax40.txt").read_text()
+        monkeypatch.setattr("stickelberger.cli.q_root_scan", started)
+        for command in (["scan-irregular", "--pmax", "40"], ["suite"]):
+            code, text = run_cli([*command, "--jobs", "2"])
+            assert code == 2 and text == ""
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: --jobs above 1 needs os.fork, which this platform lacks"]
 
 
 class TestExitCodes:
@@ -212,8 +302,8 @@ class TestExitCodes:
         assert run_cli(["principality", "probe", *argv])[0] == 0
         assert len(calls) == 1
 
-    # the pool is replaced too, so that no test ever starts a process
-    SCAN_WORK = ["stickelberger.cli.q_root_scan", "concurrent.futures.ProcessPoolExecutor"]
+    # fork is replaced too, so that no refusal test ever starts a process
+    SCAN_WORK = ["stickelberger.cli.q_root_scan", "stickelberger.cli.os.fork"]
 
     # each command's accepted arguments and its first computations, which a
     # refusal must never reach
@@ -456,6 +546,60 @@ def test_checks_survive_optimized_mode():
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "sabotage, message",
+    [
+        (
+            "real = r.fp_gr_eval\n"
+            "r.fp_gr_eval = lambda g, x: 1 if len(g) == 58 else real(g, x)\n",
+            "error: verification failed: Q(v^",
+        ),
+        (
+            "real = c.q_root_scan\n"
+            "c.q_root_scan = lambda p: os._exit(3) if p == 59 else real(p)\n",
+            "error: worker 1 of 2 ended without a result (wait status 768)",
+        ),
+    ],
+    ids=["check", "exit"],
+)
+def test_child_failure_survives_optimized_mode(sabotage, message):
+    """p = 59 fails in the child's share of `--jobs 2` (see TestForkedJobs):
+    one error line, no stdout, and no process of the run's session left."""
+    script = (
+        "import os, sys, stickelberger.regularity as r, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        + sabotage
+        + "sys.exit(c.main(['scan-irregular', '--pmax', '60', '--jobs', '2']))\n"
+    )
+    with _run_checkout(
+        ["-O", "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_children_never_flush_inherited_stdout():
+    # a line left in the parent's stdout buffer at fork is written once; the
+    # script buffers stdout itself, whatever PYTHONUNBUFFERED says
+    script = (
+        "import sys, stickelberger.cli as c\n"
+        "sys.stdout = open(1, 'w', closefd=False)\n"
+        "sys.stdout.write('# before\\n')\n"
+        "sys.exit(c.main(['scan-irregular', '--pmax', '40', '--jobs', '3']))\n"
+    )
+    with _run_checkout(["-c", script], stdout=subprocess.PIPE, text=True) as proc:
+        out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out == "# before\n" + (GOLDEN_DIR / "scan_irregular_pmax40.txt").read_text()
 
 
 def test_valuation_bound_survives_optimized_mode():
@@ -777,6 +921,19 @@ def test_import_leaves_multiprocessing_out():
     with _run_checkout(["-c", script], stdout=subprocess.PIPE, text=True) as proc:
         out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0 and out == "[]\n"
+    # --jobs forks by hand: neither a run of it loads a process pool
+    script = (
+        "import io, sys, stickelberger.cli as c\n"
+        "code = c.main(['scan-irregular', '--pmax', '60', '--jobs', '2'], out=io.StringIO())\n"
+        "print(code, [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    )
+    with _run_checkout(
+        ["-c", script], stdout=subprocess.PIPE, text=True, start_new_session=True
+    ) as proc:
+        out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out == "0 []\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_package_import_loads_no_submodule():
