@@ -47,9 +47,10 @@ SUITE_SPLIT_PAIRS = ((3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (11, 23))
 SUITE_INERT_PAIRS = ((5, 3), (7, 2), (11, 3), (5, 7))
 
 # Largest --pmax that scan-irregular and suite accept.  Scan time grows
-# faster than pmax^2: a cold scan-irregular --jobs 1 took 1.3 s at 2000,
-# 8.9 s at 5000 and, at this bound, 60 s and 20 MB peak RSS; --jobs 2 took
-# 29 s and 20 MB at this bound (one run each, 2-vCPU VM, Python 3.11).
+# about as pmax^2.2: a cold scan-irregular --jobs 1 took 0.77 s at 2000 and
+# 5.9 s at 5000 (median of 6) and, at this bound, 26 s and 18 MB peak RSS;
+# --jobs 2 took 12 s at this bound (one run each; no bytecode caches,
+# 2-vCPU VM, Python 3.11).
 MAX_SCAN_PMAX = 10_000
 
 # Largest pairs that `gauss verify` accepts, with the slowest accepted pair
@@ -92,9 +93,9 @@ MAX_PROBE_BOUND = 100_000
 
 # Largest -p of the commands that are quasi-linear in p.  At p = 199999,
 # bernoulli took 3.7 s and 45 MB peak RSS, stickelberger show -q 1199993
-# 1.3 s and 138 MB, principality test -q 1199993 (f = 2) 4.7 s and 62 MB,
-# and principality corollary 0.20 s and 26 MB (cold CLI without bytecode
-# caches, median of 3, 2-vCPU VM, Python 3.11).
+# 1.3 s and 138 MB, principality test -q 1199993 (f = 2) 2.4 s and 51 MB
+# (median of 6), and principality corollary 0.20 s and 26 MB (cold CLI
+# without bytecode caches, median of 3, 2-vCPU VM, Python 3.11).
 MAX_P = 200_000
 
 # Largest -q of `stickelberger show` and `principality test`, which need only
@@ -214,12 +215,14 @@ def _job_map(fn, items, jobs):
     J-1 forked children, process k taking items[k::J].  Each child sends
     its results, or the exception that stopped it, back through a pipe; the
     exception is raised here, and a child that ends without a result raises
-    ChildProcessError.  Every child is reaped before this returns or
-    raises."""
+    ChildProcessError.  When this process's own share raises, the children
+    are killed at once rather than left to finish theirs.  Every child is
+    reaped before this returns or raises."""
     jobs = min(jobs, len(items))
     if jobs <= 1:
         return list(map(fn, items))
     import pickle  # only a forked run loads it
+    import signal
 
     children = []  # (pid, read end of the child's pipe)
     try:
@@ -233,6 +236,10 @@ def _job_map(fn, items, jobs):
             children.append((pid, open(read_fd, "rb")))
         shares = [list(map(fn, items[::jobs]))]
         sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for _, pipe in children:
             pipe.close()

@@ -18,7 +18,7 @@ sum over a window of k exponents.
 """
 
 from itertools import accumulate
-from operator import sub
+from operator import eq, sub
 
 from .arith import (
     VerificationError,
@@ -50,20 +50,30 @@ def _chirp(u, count, p):
     return out
 
 
-def fp_gr_eval_powers(g: tuple, v: int, p: int) -> list:
-    """[sum_i c_i v^(in) mod p for n < len(g)] from one packed product, for
-    any length: p-1 for an element of Z[G_p], m for S2.
+def fp_gr_eval_powers(g: tuple, u: int, p: int) -> list:
+    """[sum_i c_i u^(ik) mod p for k < n] from one n-by-n packed product,
+    where u has order n = len(g): v of order p-1 on an element of Z[G_p],
+    v^f of order m on S2, v^2 of order (p-1)/2 on Q1 folded by
+    x^((p-1)/2) = -1.  A u with u^n != 1 mod p is refused.
 
-    Bluestein's chirp: i*n = C(i+n,2) - C(i,2) - C(n,2), so
-    g(v^n) = v^(-C(n,2)) * sum_i (c_i v^(-C(i,2))) * v^C(i+n,2), a
-    correlation of two fixed sequences.  v is any unit mod p, and exponents
-    only matter mod p-1, so no square root of v is needed.
+    Bluestein's chirp: i*k = C(i+k,2) - C(i,2) - C(k,2), so
+    g(u^k) = u^(-C(k,2)) * sum_i (c_i u^(-C(i,2))) * u^C(i+k,2), a
+    correlation of two fixed sequences.  Exponents only matter mod the
+    order of u, so no square root of u is needed, and the chirp is cyclic
+    up to a sign: u^C(n+k,2) = eps * u^C(k,2) with eps = u^C(n,2) = +-1.
+    So with P the product of the reversed weights and the first n chirp
+    terms, the correlation at k is P_(n-1+k) + eps * P_(k-1).
     """
     n = len(g)
-    chirp = _chirp(v % p, 2 * n - 1, p)
-    inverse_chirp = _chirp(canon_power(v, -1, p), n, p)
+    if pow(u, n, p) != 1:
+        raise ValueError(f"{u}^{n} is not 1 mod {p}")
+    chirp = _chirp(u % p, n, p)
+    inverse_chirp = _chirp(canon_power(u, -1, p), n, p)
+    eps = pow(u, n * (n - 1) // 2, p)
     weighted = [c * w % p for c, w in zip(reversed(g), reversed(inverse_chirp))]
-    corr = packed_mul(weighted, chirp, p, 2 * n - 1, n - 1)
+    prod = packed_mul(weighted, chirp, p, 2 * n - 1)
+    wrapped = [0, *prod[: n - 1]]  # P_(k-1), none at k = 0
+    corr = [s + eps * t for s, t in zip(prod[n - 1 :], wrapped)]
     return [s * w % p for s, w in zip(corr, inverse_chirp)]
 
 
@@ -143,7 +153,7 @@ def polynomial_Q1_factorization(Q, v):
     n, h = len(Q), len(Q) // 2
     q1 = [Q[0], *map(sub, Q[1:h], Q[: h - 1]), 1 - v - Q[h - 1]] + [0] * (n - h - 1)
     run = list(accumulate(q1[n - h + 1 :] + q1, initial=0))  # Q1_(k-h+1) at k
-    return tuple(q1), all(b - a == c for a, b, c in zip(run, run[h:], Q))
+    return tuple(q1), all(map(eq, map(sub, run[h:], run), Q))
 
 
 def polynomial_S2(P, q) -> tuple:

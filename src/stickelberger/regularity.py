@@ -3,18 +3,25 @@ scan of the quotient polynomial Q over F_p.
 
 Both halves of the scan are quasi-linear in p.  The oracle reads B_k mod p
 off the inverse of the even series 2(cosh x - 1)/x^2 in y = x^2, of length
-(p-1)/2, by x^2/(cosh x - 1) = -2 sum_j (2j-1) B_2j x^2j/(2j)!; the scanner
-gets every value Q(v^n) from one chirp correlation.  The two routes share
-only the packed-product helper `arith.packed_mul`, which tests pin against
-the schoolbook product; the tests also cross-check the oracle against an
-exact-rational Bernoulli recurrence.  Every odd root the scanner reports is
-re-evaluated by Horner's rule.
+(p-1)/2, by x^2/(cosh x - 1) = -2 sum_j (2j-1) B_2j x^2j/(2j)!; the
+scanner evaluates Q only at the odd exponents, by one cyclic chirp over
+(p-1)/2 points, since the factorization through Q1 settles the even ones.
+The two routes share only the packed-product helper `arith.packed_mul`,
+which tests pin against the schoolbook product; the tests also cross-check
+the oracle against an exact-rational Bernoulli recurrence.  Every odd root
+the scanner reports is re-evaluated on Q by Horner's rule.
 """
 
 from typing import NamedTuple
 
 from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
-from .groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
+from .cyclotomic import _power_table
+from .groupring import (
+    fp_gr_eval,
+    fp_gr_eval_powers,
+    polynomial_Q,
+    polynomial_Q1_factorization,
+)
 
 # no route here fills it: perfbench/tracer.py reports its length
 _bernoulli_cache = [1]
@@ -74,30 +81,39 @@ class RegularityVerdict(NamedTuple):
 
 
 def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
-    """Evaluate Q at v^n for n in [2, p-2] and cross the odd-exponent root
-    count against the Bernoulli oracle.  All values come from one chirp
-    product; each odd root is then confirmed by Horner's rule.
+    """The roots n in [2, p-2] of Q(v^n) mod p, with the odd-exponent root
+    count crossed against the Bernoulli oracle.
 
-    Odd exponents are exactly the residues X with X^((p-1)/2) = -1; no such
-    root means the scan is consistent with p being regular.
+    With h = (p-1)/2, the factorization Q = Q1 * (1 + sigma + ... +
+    sigma^(h-1)) is checked first.  Every even n is then a root, since
+    x = v^n has x^h = 1 and x != 1, so the second factor vanishes at x.
+    At an odd n = 2j+1, x^h = -1 and Q(x) = -2 Q1(x)/(x - 1), so n is a
+    root exactly when Q1 folded by x^h = -1, c_i = Q1_i - Q1_(i+h), has
+    sum_i c_i v^i w^(ij) = 0 with w = v^2 of order h: one chirp over h
+    points.  Each odd root is then confirmed on Q by Horner's rule.  No
+    odd root means the scan is consistent with p being regular.
     """
     if v is None:
         v = primitive_root(p)
     q_poly = polynomial_Q(p, v)
-    values = fp_gr_eval_powers(q_poly, v, p)
-    all_roots = [n for n in range(2, p - 1) if values[n] == 0]
-    odd_exponents = [n for n in all_roots if n % 2 == 1]
+    h = (p - 1) // 2
+    q1, factored = polynomial_Q1_factorization(q_poly, v)
+    if not factored:
+        raise VerificationError(f"p={p}: Q is not Q1 * (1 + sigma + ... + sigma^{h - 1})")
+    folded = [(a - b) * x % p for a, b, x in zip(q1[:h], q1[h:], _power_table(v, h, p))]
+    values = fp_gr_eval_powers(folded, v * v % p, p)
+    odd_roots = [j for j in range(1, h) if values[j] == 0]
     # the verdict rests on the odd roots: confirm each one by Horner's rule
-    for n in odd_exponents:
+    for n in (2 * j + 1 for j in odd_roots):
         if fp_gr_eval(q_poly, canon_power(v, n, p)) != 0:
             raise VerificationError(f"Q(v^{n}) mod {p}: chirp and Horner disagree")
     irr = irregular_indices(p)
     return RegularityVerdict(
         p=p,
         v=v,
-        odd_roots=frozenset((n - 1) // 2 for n in odd_exponents),
-        all_roots=frozenset(all_roots),
+        odd_roots=frozenset(odd_roots),
+        all_roots=frozenset([*range(2, p - 1, 2), *(2 * j + 1 for j in odd_roots)]),
         irregular_indices=irr,
         verdict="irregular" if irr else "regular",
-        agreement=len(odd_exponents) == len(irr),
+        agreement=len(odd_roots) == len(irr),
     )

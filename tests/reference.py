@@ -316,6 +316,15 @@ def hensel_roots_by_lifts(p, q):
     return sorted((labels[r], _lift_root(p, q, r, 2 * p + 4)) for r in residues)
 
 
+def q_roots_by_horner(p, v):
+    """n in [2, p-2] with Q(v^n) = 0 mod p, every value by Horner's rule on
+    Q itself: the scan's odd and even roots by one direct route."""
+    q_poly = polynomial_Q(p, v)
+    return frozenset(
+        n for n in range(2, p - 1) if fp_gr_eval(q_poly, canon_power(v, n, p)) == 0
+    )
+
+
 def bernoulli_mod_p_full_series(p):
     """k -> B_k mod p for every even k in [2, p-3], from the inverse r of
     the full series (e^x - 1)/x = sum x^k / (k+1)! mod (p, x^(p-2)):

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -110,6 +111,29 @@ class TestForkedJobs:
         assert err[0].endswith(f"mod {p}: chirp and Horner disagree")
         # 37 is checked in this process; 59 only in the child
         assert (37 in horner_here, 59 in horner_here) == (True, False)
+        _assert_no_child_left()
+
+    def test_failure_here_kills_a_blocked_child(self, monkeypatch, capsys):
+        """This process's share fails at its first item, p = 3, while the
+        child's share blocks: the run ends at once, with the parent's
+        error, and the child is killed and reaped."""
+        real = regularity.q_root_scan
+        parent = os.getpid()
+
+        def stall(p):
+            if os.getpid() != parent and p == 5:  # the child's first item
+                time.sleep(60)
+            elif p == 3:
+                raise arith.VerificationError("p=3 refused here")
+            return real(p)
+
+        monkeypatch.setattr("stickelberger.cli.q_root_scan", stall)
+        start = time.monotonic()
+        code, text = run_cli(self.ARGV)
+        assert time.monotonic() - start < 20
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: verification failed: p=3 refused here"]
         _assert_no_child_left()
 
     def test_value_error_in_a_child_exits_2(self, monkeypatch, capsys):
@@ -220,6 +244,22 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: ")
         assert "Q(v^5) mod 37" in err[0]
+
+    def test_moved_q_coefficient_exits_1_with_one_error_line(self, monkeypatch, capsys):
+        # delta_5 of p = 37 moved by one: Q no longer factors through Q1
+        real = regularity.polynomial_Q
+
+        def moved(p, v):
+            q = real(p, v)
+            return q if p != 37 else (*q[:5], q[5] + 1, *q[6:])
+
+        monkeypatch.setattr("stickelberger.regularity.polynomial_Q", moved)
+        code, text = run_cli(["scan-irregular", "--pmax", "40"])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: verification failed: p=37: Q is not Q1 * (1 + sigma + ... + sigma^17)"
+        ]
 
     @pytest.mark.parametrize("command", ["scan-irregular", "suite"])
     def test_oversized_pmax_exits_2_without_scanning(self, monkeypatch, command):
@@ -546,6 +586,24 @@ def test_checks_survive_optimized_mode():
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_moved_q_coefficient_survives_optimized_mode():
+    script = (
+        "import sys, stickelberger.regularity as r, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = r.polynomial_Q\n"
+        "def moved(p, v):\n"
+        "    q = real(p, v)\n"
+        "    return q if p != 37 else (*q[:5], q[5] + 1, *q[6:])\n"
+        "r.polynomial_Q = moved\n"
+        "sys.exit(c.main(['scan-irregular', '--pmax', '40']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: verification failed: p=37: Q is not Q1 * (1 + sigma + ... + sigma^17)"
+    ]
 
 
 @pytest.mark.parametrize(

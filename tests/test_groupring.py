@@ -1,3 +1,4 @@
+import random
 from operator import add, sub
 
 import pytest
@@ -13,6 +14,7 @@ from reference import (
 from stickelberger.arith import canon_power, is_prime, multiplicative_order, primitive_root
 from stickelberger.groupring import (
     fp_gr_eval,
+    fp_gr_eval_powers,
     orbit_sums,
     polynomial_P,
     polynomial_Q,
@@ -165,6 +167,35 @@ class TestQ1:
         half = (p - 1) // 2
         for i in range(half):
             assert deltas[i + half] == 1 - v - deltas[i]
+
+
+class TestCyclicChirp:
+    """fp_gr_eval_powers(g, u, p) with u of order n = len(g): the chirp
+    wraps around with the sign eps = u^C(n,2), +1 for odd n and -1 for
+    even n."""
+
+    def test_every_divisor_for_p_below_200(self):
+        rng = random.Random(27)
+        signs = set()
+        for p in (x for x in range(3, 200) if is_prime(x)):
+            v = primitive_root(p)
+            for n in (d for d in range(1, p) if (p - 1) % d == 0):
+                u = canon_power(v, (p - 1) // n, p)
+                g = tuple(rng.randrange(-p + 1, p) for _ in range(n))
+                assert fp_gr_eval_powers(g, u, p) == [
+                    sum(c * pow(u, i * k, p) for i, c in enumerate(g)) % p
+                    for k in range(n)
+                ], (p, n)
+                eps = pow(u, n * (n - 1) // 2, p)
+                signs.add((n % 2, 1 if eps == 1 else eps - p))
+        assert signs == {(1, 1), (0, -1)}
+
+    @pytest.mark.parametrize(
+        "g, u, p", [((1, 2, 3), 3, 7), ((5,), 2, 7), ((1, 1), 0, 5), ((1, 1), 2, 5)]
+    )
+    def test_refuses_a_u_of_another_order(self, g, u, p):
+        with pytest.raises(ValueError, match="is not 1 mod"):
+            fp_gr_eval_powers(g, u, p)
 
 
 class TestChecksAgainstProducts:

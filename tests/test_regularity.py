@@ -10,9 +10,15 @@ from reference import (
     bernoulli_mod,
     bernoulli_mod_p_full_series,
     primitive_roots,
+    q_roots_by_horner,
 )
 from stickelberger.cli import main
-from stickelberger.groupring import fp_gr_eval, fp_gr_eval_powers, polynomial_Q
+from stickelberger.groupring import (
+    fp_gr_eval,
+    fp_gr_eval_powers,
+    polynomial_Q,
+    polynomial_Q1_factorization,
+)
 from stickelberger.regularity import bernoulli_mod_p, irregular_indices, q_root_scan
 
 # classical table: irregular primes below 160 with their Bernoulli indices
@@ -108,6 +114,34 @@ def test_chirp_values_match_horner(p, v):
     assert fp_gr_eval_powers(q_poly, v, p) == [
         fp_gr_eval(q_poly, canon_power(v, n, p)) for n in range(p - 1)
     ]
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 1000) if is_prime(p)])
+def test_scan_roots_match_horner_at_every_exponent(p):
+    vd = q_root_scan(p)
+    roots = q_roots_by_horner(p, vd.v)
+    assert vd.all_roots == roots
+    assert vd.odd_roots == frozenset((n - 1) // 2 for n in roots if n % 2)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 2000) if is_prime(p)])
+def test_q_values_follow_from_the_q1_factorization(p):
+    """Q(x) = Q1(x) (x^h - 1)/(x - 1) with h = (p-1)/2 at every x = v^n,
+    n in [1, p-2]: 0 at even n, and -2 Q1(x)/(x - 1) at odd n, where the
+    scan reads its odd roots off Q1.  Every value from the full chirp
+    over the p-1 powers of v."""
+    v = primitive_root(p)
+    q_poly = polynomial_Q(p, v)
+    q1, factored = polynomial_Q1_factorization(q_poly, v)
+    assert factored
+    q_values = fp_gr_eval_powers(q_poly, v, p)
+    q1_values = fp_gr_eval_powers(q1, v, p)
+    for n in range(1, p - 1):
+        if n % 2 == 0:
+            assert q_values[n] == 0, n
+        else:
+            x = canon_power(v, n, p)
+            assert q_values[n] * (x - 1) % p == -2 * q1_values[n] % p, n
 
 
 def test_literature_irregular_primes_below_1000():
