@@ -68,11 +68,9 @@ class VerificationError(AssertionError):
 
 
 def _miller_rabin(n: int, witnesses) -> bool:
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    # n - 1 = d * 2^s with d odd: the lowest set bit of n - 1 is 2^s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     for a in witnesses:
         a %= n
         if a == 0:

@@ -83,11 +83,11 @@ MAX_FIELD_ORDER = 2**21
 # probe tests each distinct norm once, and about a quarter of the norms
 # repeat, since a candidate and its complex conjugate, also in the sweep
 # for small x, have the same norm.  In process, a candidate costs about
-# 0.013 ms at p = 7 (--bound 30000, 0.17 of its 0.38 s is_prime), 0.032 ms
-# at p = 11 (--bound 20000) and 1.15 ms at p = 31 (--bound 3000, over 80%
-# is_prime).  Cold, -p 11 --bound 100000 took 4.3 s and 35 MB peak RSS;
-# at both bounds, -p 31 --bound 100000 took about 105 s (2-vCPU VM,
-# Python 3.11).
+# 0.0076 ms at p = 7 (--bound 30000, 0.14 of its 0.23 s is_prime), 0.019 ms
+# at p = 11 (--bound 20000, 0.31 of 0.38 s) and 0.77 ms at p = 31
+# (--bound 3000, about 90% is_prime).  Cold, -p 11 --bound 100000 took
+# 3.3 s and 31 MB peak RSS (median of 8); at both bounds, -p 31
+# --bound 100000 took 79 s and 32 MB (one run; 2-vCPU VM, Python 3.11).
 MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
@@ -178,7 +178,10 @@ def _json_text(obj, indent="\n"):
     if isinstance(obj, (list, tuple)) and not hasattr(obj, "_asdict"):
         if not obj:
             return "[]"
-        items = [_json_text(item, inner) for item in obj]
+        if all(type(item) is int for item in obj):  # not bool, an int subclass
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -459,41 +459,51 @@ def zeta_p_power(g: BiCycInt, e, bits) -> CycInt:
     return CycInt(p, coeffs)
 
 
-def shift_norms(p, values, at_one, shifts, modulus):
-    """[N(b + s) for s in shifts], for integer shifts s, from the values of
-    b at the p-1 roots of Phi_p (`root_values`, any representatives mod
-    `modulus`) and b(1) = `at_one`, the sum of its coefficients:
-    N(b + s) = prod_t (b(r^t) + s).
+def shift_norms(p, items, shifts):
+    """(tag, s, N(b + s)) for each (tag, values, at_one, modulus) of
+    `items` and each integer shift s of `shifts`, lazily: `values` are the
+    values of b at the p-1 roots r^1..r^(p-1) of Phi_p (`root_values`, any
+    representatives mod `modulus`) and `at_one` is b(1), the sum of its
+    coefficients.  N(b + s) = prod_t (b(r^t) + s), the symmetric residue
+    mod `modulus`.
+
+    r^t and r^(p-t) are complex conjugates, so the product runs over the
+    (p-1)/2 pairs of values v = b(r^t), w = b(r^(p-t)), index i with
+    index p-2-i: (v + s)(w + s) = vw + s(v + w + s).  The vw and v + w
+    of an item are taken once, and a shift costs (p-1)/2 products.
 
     Each N is checked against N(a) = a(1)^(p-1) (mod p), from
-    a = a(1) (mod lambda).  A modulus too small moves N by a multiple of
-    it, which is prime to p, and a table of non-roots gives an unrelated
-    residue: either fails the check unless the error is divisible by p.
+    a = a(1) (mod lambda), which by Fermat is 1 unless p divides a(1),
+    and then 0.  A modulus too small moves N by a multiple of it, which is
+    prime to p, and a table of non-roots gives an unrelated residue:
+    either fails the check unless the error is divisible by p.
     """
-    norms = []
-    for s in shifts:
-        n = 1
-        for v in values:
-            n = n * (v + s) % modulus
-        if 2 * n > modulus:
-            n -= modulus
-        if (n - pow(at_one + s, p - 1, p)) % p:
-            raise VerificationError(
-                f"norm {n} of an element of Z[zeta_{p}] is not a(1)^{p - 1} mod {p}"
-            )
-        norms.append(n)
-    return norms
+    half = (p - 1) // 2
+    for tag, values, at_one, modulus in items:
+        pairs = [(v * w % modulus, v + w) for v, w in zip(values[:half], reversed(values))]
+        for s in shifts:
+            n = 1
+            for vw, v_plus_w in pairs:
+                n = n * (vw + s * (v_plus_w + s)) % modulus
+            if 2 * n > modulus:
+                n -= modulus
+            if (n - ((at_one + s) % p != 0)) % p:
+                raise VerificationError(
+                    f"norm {n} of an element of Z[zeta_{p}] is not a(1)^{p - 1} mod {p}"
+                )
+            yield tag, s, n
 
 
 def norm(a: CycInt) -> int:
     """The norm of a to Q, a rational integer; ValueError for 0.
 
     N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
-    at the roots r^t of Phi_p (`shift_norms` with the one shift 0).  Every
-    conjugate of a has absolute value at most sum |a_i|, which sizes the
-    modulus.
+    at the roots r^t of Phi_p, taken by `shift_norms` over conjugate pairs
+    with the one shift 0.  Every conjugate of a has absolute value at most
+    sum |a_i|, which sizes the modulus.
     """
     if a.is_zero():
         raise ValueError("norm of 0 is degenerate")
     modulus, (values,) = root_values(a.p, [a.coeffs], sum(map(abs, a.coeffs)))
-    return shift_norms(a.p, values, sum(a.coeffs), (0,), modulus)[0]
+    [(_, _, n)] = shift_norms(a.p, [(a, values, sum(a.coeffs), modulus)], (0,))
+    return n

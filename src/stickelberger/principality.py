@@ -7,6 +7,8 @@ congruence values certifies p-principality, but nothing here ever claims
 non-principality.
 """
 
+from itertools import islice
+from operator import add
 from typing import NamedTuple
 
 from .arith import (
@@ -130,16 +132,10 @@ class ProbeReport(NamedTuple):
     miller_rabin_witness_count: int = MILLER_RABIN_WITNESS_COUNT
 
 
-def _graded_lex_vectors(length, bound):
-    """Integer vectors with entries in [-bound, bound], lazily, sorted by L1
-    norm and lexicographically within each norm."""
-    for total in range(length * bound + 1):
-        yield from _l1_shell(length, total, bound)
-
-
 def _l1_shell(length, total, bound):
-    """The vectors of L1 norm `total`, lexicographically: a first entry c
-    fits when the other length-1 entries can make up total - |c|."""
+    """The integer vectors with entries in [-bound, bound] and L1 norm
+    `total`, lexicographically: a first entry c fits when the other
+    length-1 entries can make up total - |c|."""
     if length == 0:
         yield ()
         return
@@ -151,33 +147,42 @@ def _l1_shell(length, total, bound):
 
 
 def _sweep_values(p, coeff_bound):
-    """(x, values, at_one, modulus) for every x of the sweep, in graded-lex
-    order: the values of b = lambda^(p+1) * x at the p-1 roots of Phi_p
-    mod `modulus`, and b(1), the sum of its coefficients.
+    """(x, values, at_one, modulus) for every x of the sweep, lazily, the
+    items of `shift_norms`: the values of b = lambda^(p+1) * x at the p-1
+    roots of Phi_p mod `modulus`, and b(1), the sum of its coefficients.
+    The x run over the vectors with entries in [-coeff_bound, coeff_bound]
+    by L1 shell, lexicographically within each shell (`_l1_shell`).
 
     b is linear in x: the sum of x_i times the row lambda^(p+1) * zeta^i.
-    The rows are evaluated once per L1 shell, at a modulus sized for the
+    The rows are evaluated once per shell, at a modulus sized for the
     whole shell: sum |b_i| <= |x|_1 * max_i |row_i|_1, and the shifts add
-    at most p-1 to each conjugate.  An x then costs nnz(x) * (p-1)
-    products and no ring product.
+    at most p-1 to each conjugate.  The multiples c * row for
+    0 < |c| <= min(coeff_bound, shell) are built with the shell, so an x
+    costs nnz(x) additions of value lists and no product.
     """
     shift = lambda_element(p) ** (p + 1)
     rows = [(shift * CycInt.zeta(p, i)).coeffs for i in range(p - 1)]
-    row_sums = [sum(row) for row in rows]
     widest = max(sum(map(abs, row)) for row in rows)
-    shell = None
-    for x in _graded_lex_vectors(p - 1, coeff_bound):
-        total = sum(map(abs, x))
-        if total != shell:
-            shell = total
-            modulus, table = root_values(p, rows, total * widest + p - 1)
-        values = [0] * (p - 1)
-        at_one = 0
-        for c, row_values, row_sum in zip(x, table, row_sums):
-            if c:
-                values = [v + c * w for v, w in zip(values, row_values)]
-                at_one += c * row_sum
-        yield x, values, at_one, modulus
+    zero = [0] * (p - 1)
+    for total in range((p - 1) * coeff_bound + 1):
+        modulus, table = root_values(p, rows, total * widest + p - 1)
+        reach = min(coeff_bound, total)
+        multiples = [
+            {
+                c: ([c * v for v in row_values], c * sum(row))
+                for c in range(-reach, reach + 1)
+                if c
+            }
+            for row, row_values in zip(rows, table)
+        ]
+        for x in _l1_shell(p - 1, total, coeff_bound):
+            values, at_one = zero, 0
+            for c, row_multiples in zip(x, multiples):
+                if c:
+                    row_values, row_at_one = row_multiples[c]
+                    values = list(map(add, values, row_values))
+                    at_one += row_at_one
+            yield x, values, at_one, modulus
 
 
 def principal_norm_probe(
@@ -185,8 +190,13 @@ def principal_norm_probe(
 ) -> ProbeReport:
     """Sweep q1 = a + lambda^(p+1) * x over small-coefficient x; whenever
     |norm(q1)| is a prime q, the power test p^((q-1)/p) = 1 mod q must
-    pass.  Any failing witness lands in `counterexamples`.  The norms of
-    the p-1 values of a share one evaluation of lambda^(p+1) * x.
+    pass.  Any failing witness lands in `counterexamples`.
+
+    The candidates are one lazy stream, cut at `search_bound` by islice:
+    the x of `_sweep_values`, each with the shifts a = 1..p-1, and their
+    norms from `shift_norms`, which share one evaluation of
+    lambda^(p+1) * x.  The cut falls inside the last x when p-1 does not
+    divide the bound, and no norm past it is computed.
 
     Norms repeat: complex conjugation maps a + lambda^(p+1) * x to
     a + lambda^(p+1) * zeta^(-1) * conj(x), of the same norm, and for
@@ -205,26 +215,17 @@ def principal_norm_probe(
     witnesses, counterexamples = [], []
     # |norm| -> p^((|norm|-1)/p) mod |norm| if |norm| is prime, else None
     verdicts = {}
-    for x, values, at_one, modulus in _sweep_values(p, coeff_bound):
-        # the last x may take only some of the a in [1, p-1]
-        shifts = range(1, min(p, search_bound - tested + 1))
-        for a, n in zip(shifts, shift_norms(p, values, at_one, shifts, modulus)):
-            tested += 1
-            n = abs(n)
-            if n in verdicts:
-                residue = verdicts[n]
-            else:
-                residue = verdicts[n] = _norm_verdict(p, n)
-            if residue is None:
-                continue
-            witness = ProbeWitness(
-                a=a, x_coeffs=x, norm_q=n, residue=residue, passes=residue == 1,
-            )
+    candidates = shift_norms(p, _sweep_values(p, coeff_bound), range(1, p))
+    for tested, (x, a, n) in enumerate(islice(candidates, search_bound), 1):
+        n = abs(n)
+        residue = verdicts.get(n, verdicts)
+        if residue is verdicts:  # the dict itself marks an untested norm
+            residue = verdicts[n] = _norm_verdict(p, n)
+        if residue is not None:
+            witness = ProbeWitness(a, x, n, residue, residue == 1)
             witnesses.append(witness)
             if not witness.passes:
                 counterexamples.append(witness)
-        if tested >= search_bound:
-            break
     return ProbeReport(
         p=p,
         search_bound=search_bound,

@@ -3,7 +3,7 @@ against.  Nothing here is used by the package itself.
 """
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -36,7 +36,6 @@ from stickelberger.groupring import (
     polynomial_P,
     polynomial_Q,
 )
-from stickelberger.principality import _graded_lex_vectors
 from stickelberger.regularity import _series_inverse
 
 
@@ -270,18 +269,34 @@ def is_prime_first_bases(n):
     return _miller_rabin(n, _MR_EXTRA_WITNESSES)
 
 
+def graded_lex_shell(length, total, bound):
+    """The integer vectors of this length with entries in [-bound, bound]
+    and L1 norm `total`, sorted: the compositions of total into `length`
+    parts of at most `bound`, by stars and bars, each with every choice of
+    signs for its nonzero parts."""
+    shell = []
+    slots = total + length - 1
+    for bars in combinations(range(slots), length - 1):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))]
+        if max(parts) <= bound:
+            shell += product(*[(c, -c) if c else (0,) for c in parts])
+    return sorted(shell)
+
+
 def probe_sweep(p, search_bound, coeff_bound=2):
     """The first `search_bound` candidates a + lambda^(p+1) * x of the norm
-    probe, in sweep order, as (a, x_vec, q1)."""
+    probe, in sweep order, as (a, x_vec, q1): the x by L1 shell, sorted
+    within each shell, each with a = 1..p-1."""
     shift = lambda_element(p) ** (p + 1)
     count = 0
-    for x_vec in _graded_lex_vectors(p - 1, coeff_bound):
-        base = shift * CycInt(p, x_vec)
-        for a in range(1, p):
-            if count == search_bound:
-                return
-            count += 1
-            yield a, x_vec, base + a
+    for total in range((p - 1) * coeff_bound + 1):
+        for x_vec in graded_lex_shell(p - 1, total, coeff_bound):
+            base = shift * CycInt(p, x_vec)
+            for a in range(1, p):
+                if count == search_bound:
+                    return
+                count += 1
+                yield a, x_vec, base + a
 
 
 def probe_witnesses(p, search_bound, coeff_bound=2):

@@ -940,10 +940,17 @@ class TestJsonWriter:
     def test_empty_containers(self, obj):
         assert _json_text(obj) == json.dumps(obj, indent=2, default=_encode)
 
+    @pytest.mark.parametrize(
+        "obj", [[1, True, 0], [True], [-5, 2**100], [[1, 2], [3]], {"a": [1, 2]}]
+    )
+    def test_int_lists_and_their_neighbours(self, obj):
+        # a list of plain ints is joined directly; bools keep the item route
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
     def test_int_beyond_the_digit_limit_raises_on_both_routes(self):
         # 4301 digits, one more than int -> str converts by default
         big = 10**4300
-        for obj in (big, [1, {"k": big}]):
+        for obj in (big, [1, {"k": big}], [1, big]):
             with pytest.raises(ValueError):
                 json.dumps(obj, indent=2, default=_encode)
             with pytest.raises(ValueError):

@@ -26,6 +26,8 @@ from stickelberger.cyclotomic import (
     lambda_element,
     lambda_valuation,
     norm,
+    root_values,
+    shift_norms,
     _lambda_quotient,
     _lift_root,
 )
@@ -383,6 +385,21 @@ class TestNormByEvaluation:
         shifts = [s for s in shifts if not (b + s).is_zero()]
         expected = [conjugate_product_norm(b + s) for s in shifts]
         assert [norm(b + s) for s in shifts] == expected
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES_TO_60 if p <= 23])
+    def test_paired_shift_norms_match_conjugate_products(self, p):
+        # shift_norms pairs the value at r^t with the one at r^(p-t); at
+        # p = 3 there is a single pair.  Every shift 0..p-1, with s = 0
+        # the plain norm and one s with p | a(1), against the product of
+        # the p-1 conjugates.
+        rng = random.Random(p)
+        for _ in range(3):
+            b = CycInt(p, [rng.randint(-9, 9) for _ in range(p - 1)])
+            modulus, (values,) = root_values(p, [b.coeffs], sum(map(abs, b.coeffs)) + p - 1)
+            got = shift_norms(p, [("b", values, sum(b.coeffs), modulus)], range(p))
+            expected = [("b", s, conjugate_product_norm(b + s)) for s in range(p)]
+            assert list(got) == expected
+            assert [norm(b + s) for s in range(p)] == [n for _, _, n in expected]
 
     def test_every_small_element_at_p3(self):
         # ell = 7, the smallest modulus the norm ever uses

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from itertools import islice, product
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from stickelberger.arith import (
 )
 from reference import (
     conjugate_product_norm,
+    graded_lex_shell,
     primitive_roots,
     probe_sweep,
     probe_witnesses,
@@ -33,7 +35,7 @@ from stickelberger.cyclotomic import (
 )
 from stickelberger.groupring import fp_gr_eval_powers, polynomial_P, polynomial_S2
 from stickelberger.principality import (
-    _graded_lex_vectors,
+    _l1_shell,
     _sweep_values,
     half_degree_corollary,
     principal_norm_probe,
@@ -293,14 +295,15 @@ class TestProbeNormsAgainstConjugateProducts:
         # the rows are evaluated once per L1 shell, at a modulus sized for
         # the shell; each x must still give the norms of its own base
         shift = lambda_element(p) ** (p + 1)
-        shifts = range(1, p)
+        items = list(islice(_sweep_values(p, coeff_bound), 700))
         shells = set()
-        for x, values, at_one, modulus in islice(_sweep_values(p, coeff_bound), 700):
+        for x, _, at_one, _ in items:
             shells.add(sum(map(abs, x)))
-            base = shift * CycInt(p, x)
-            assert at_one == sum(base.coeffs)
-            expected = [norm(base + s) for s in shifts]
-            assert shift_norms(p, values, at_one, shifts, modulus) == expected, x
+            assert at_one == sum((shift * CycInt(p, x)).coeffs)
+        expected = [
+            (x, s, norm(shift * CycInt(p, x) + s)) for x, *_ in items for s in range(1, p)
+        ]
+        assert list(shift_norms(p, items, range(1, p))) == expected
         assert len(shells) >= 3
 
     @pytest.mark.parametrize("p, search_bound", [(5, 3000), (7, 2000)])
@@ -311,17 +314,25 @@ class TestProbeNormsAgainstConjugateProducts:
         assert report.witnesses
 
     def test_sweep_cut_inside_an_x_counts_exactly_the_bound(self, monkeypatch):
-        shift_counts = []
+        # the cut falls inside the 334th x: no norm past the bound is made
+        drawn, made = [], []
         real = principality.shift_norms
 
-        def counting(p, values, at_one, shifts, modulus):
-            shift_counts.append(len(shifts))
-            return real(p, values, at_one, shifts, modulus)
+        def counting(p, items, shifts):
+            def drawing():
+                for item in items:
+                    drawn.append(item[0])
+                    yield item
+
+            for candidate in real(p, drawing(), shifts):
+                made.append(candidate)
+                yield candidate
 
         monkeypatch.setattr(principality, "shift_norms", counting)
         report = principal_norm_probe(7, 2003)
-        assert report.candidates_tested == 2003
-        assert shift_counts == [6] * 333 + [5]
+        assert report.candidates_tested == len(made) == 2003
+        assert len(drawn) == 334
+        assert [a for _, a, _ in made] == [1, 2, 3, 4, 5, 6] * 333 + [1, 2, 3, 4, 5]
         found = [(w.a, w.x_coeffs, w.norm_q, w.residue) for w in report.witnesses]
         assert found == probe_witnesses(7, 2003)
 
@@ -413,15 +424,20 @@ class TestRepeatedNormSabotage:
 def test_graded_lex_order_matches_sorted_box(length, bound):
     box = product(range(-bound, bound + 1), repeat=length)
     expected = sorted(box, key=lambda t: (sum(map(abs, t)), t))
-    assert list(_graded_lex_vectors(length, bound)) == expected
+    shells = [list(_l1_shell(length, total, bound)) for total in range(length * bound + 1)]
+    assert [x for shell in shells for x in shell] == expected
+    assert shells == [graded_lex_shell(length, total, bound) for total in range(length * bound + 1)]
 
 
-def test_graded_lex_start_does_not_grow_with_the_bound():
-    # the first 5000 vectors have L1 norm at most 6, so any bound >= 6 gives
-    # the same prefix; a loop over all of [-bound, bound] at each level would
-    # not finish at 10^12
-    huge = islice(_graded_lex_vectors(6, 10**12), 5000)
-    assert list(huge) == list(islice(_graded_lex_vectors(6, 50), 5000))
+def test_sweep_start_does_not_grow_with_the_bound():
+    # the first 2000 x have L1 norm at most 5, so any bound >= 5 gives the
+    # same items; a shell or a table of multiples sized by the bound alone
+    # would not finish at 10^12
+    start = perf_counter()
+    huge = list(islice(_sweep_values(7, 10**12), 2000))
+    assert perf_counter() - start < 10
+    assert huge == list(islice(_sweep_values(7, 50), 2000))
+    assert max(sum(map(abs, x)) for x, *_ in huge) == 5
 
 
 def test_probe_p13_stops_at_its_bound():
