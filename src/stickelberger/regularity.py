@@ -8,20 +8,18 @@ scanner evaluates Q only at the odd exponents, by one cyclic chirp over
 (p-1)/2 points, since the factorization through Q1 settles the even ones.
 The two routes share only the packed-product helper `arith.packed_mul`,
 which tests pin against the schoolbook product; the tests also cross-check
-the oracle against an exact-rational Bernoulli recurrence.  Every odd root
-the scanner reports is re-evaluated on Q by Horner's rule.
+the oracle against an exact-rational Bernoulli recurrence.  The scan ties
+the routes value by value: by Herbrand's form of Stickelberger's theorem
+(Washington, GTM 83, sec. 6.3), (p-n) Q(v^n) = (v^n - v) B_(p-n) mod p
+at every odd n, so each odd value of Q is checked against the oracle's
+table, and the irregular indices are read off that table.
 """
 
 from typing import NamedTuple
 
-from .arith import VerificationError, canon_power, is_prime, packed_mul, primitive_root
+from .arith import VerificationError, is_prime, packed_mul, primitive_root
 from .cyclotomic import _power_table
-from .groupring import (
-    fp_gr_eval,
-    fp_gr_eval_powers,
-    polynomial_Q,
-    polynomial_Q1_factorization,
-)
+from .groupring import fp_gr_eval_powers, polynomial_Q, polynomial_Q1_factorization
 
 # no route here fills it: perfbench/tracer.py reports its length
 _bernoulli_cache = [1]
@@ -65,11 +63,6 @@ def bernoulli_mod_p(p: int) -> dict:
     return {2 * j: -2 * j * even_factorials[j - 1] * r[j] % p for j in range(1, m)}
 
 
-def irregular_indices(p: int) -> frozenset:
-    """Even k in [2, p-3] with p dividing the numerator of B_k."""
-    return frozenset(k for k, r in bernoulli_mod_p(p).items() if r == 0)
-
-
 class RegularityVerdict(NamedTuple):
     p: int
     v: int
@@ -77,12 +70,12 @@ class RegularityVerdict(NamedTuple):
     all_roots: frozenset  # n in [2, p-2] with Q(v^n) = 0 mod p
     irregular_indices: frozenset  # even k with B_k = 0 mod p, from the oracle
     verdict: str  # "regular" / "irregular", decided by the oracle
-    agreement: bool  # |odd_roots| == |irregular_indices|
+    agreement: bool  # {p - (2m+1) : m in odd_roots} == irregular_indices
 
 
 def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
-    """The roots n in [2, p-2] of Q(v^n) mod p, with the odd-exponent root
-    count crossed against the Bernoulli oracle.
+    """The roots n in [2, p-2] of Q(v^n) mod p, with every odd value of Q
+    checked against the Bernoulli oracle.
 
     With h = (p-1)/2, the factorization Q = Q1 * (1 + sigma + ... +
     sigma^(h-1)) is checked first.  Every even n is then a root, since
@@ -90,8 +83,11 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     At an odd n = 2j+1, x^h = -1 and Q(x) = -2 Q1(x)/(x - 1), so n is a
     root exactly when Q1 folded by x^h = -1, c_i = Q1_i - Q1_(i+h), has
     sum_i c_i v^i w^(ij) = 0 with w = v^2 of order h: one chirp over h
-    points.  Each odd root is then confirmed on Q by Horner's rule.  No
-    odd root means the scan is consistent with p being regular.
+    points.  By Herbrand's form of Stickelberger's theorem (Washington,
+    GTM 83, sec. 6.3, with B_(1,omega^(k-1)) = B_k/k mod p from ch. 5),
+    2n Q1(x) = (x - 1)(x - v) B_(p-n) mod p for n = 3, 5, ..., p-2, and
+    each of these h-1 values is checked.  So the odd roots are the n with
+    p | B_(p-n), and no odd root means p is regular.
     """
     if v is None:
         v = primitive_root(p)
@@ -100,20 +96,21 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
     q1, factored = polynomial_Q1_factorization(q_poly, v)
     if not factored:
         raise VerificationError(f"p={p}: Q is not Q1 * (1 + sigma + ... + sigma^{h - 1})")
-    folded = [(a - b) * x % p for a, b, x in zip(q1[:h], q1[h:], _power_table(v, h, p))]
+    powers = _power_table(v, p - 1, p)
+    folded = [(a - b) * x % p for a, b, x in zip(q1[:h], q1[h:], powers)]
     values = fp_gr_eval_powers(folded, v * v % p, p)
-    odd_roots = [j for j in range(1, h) if values[j] == 0]
-    # the verdict rests on the odd roots: confirm each one by Horner's rule
-    for n in (2 * j + 1 for j in odd_roots):
-        if fp_gr_eval(q_poly, canon_power(v, n, p)) != 0:
-            raise VerificationError(f"Q(v^{n}) mod {p}: chirp and Horner disagree")
-    irr = irregular_indices(p)
+    bernoulli = bernoulli_mod_p(p)
+    for n, x, value in zip(range(3, p - 1, 2), powers[3::2], values[1:]):
+        if (2 * n * value - (x - 1) * (x - v) * bernoulli[p - n]) % p:
+            raise VerificationError(f"Q(v^{n}) mod {p}: chirp and Bernoulli oracle disagree")
+    odd_roots = frozenset(j for j in range(1, h) if values[j] == 0)
+    irr = frozenset(k for k, b in bernoulli.items() if b == 0)
     return RegularityVerdict(
         p=p,
         v=v,
-        odd_roots=frozenset(odd_roots),
+        odd_roots=odd_roots,
         all_roots=frozenset([*range(2, p - 1, 2), *(2 * j + 1 for j in odd_roots)]),
         irregular_indices=irr,
         verdict="irregular" if irr else "regular",
-        agreement=len(odd_roots) == len(irr),
+        agreement=frozenset(p - 2 * j - 1 for j in odd_roots) == irr,
     )

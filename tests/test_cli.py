@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -73,6 +74,23 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _moved_oracle(real, p, moves):
+    """`real` with B_k of p moved by d in the oracle's table, for each
+    k -> d of `moves`; the `python -O` scripts embed its source."""
+
+    def moved(prime):
+        table = real(prime)
+        if prime == p:
+            for k, d in moves.items():
+                table[k] = (table[k] + d) % p
+        return table
+
+    return moved
+
+
+MOVED_ORACLE = inspect.getsource(_moved_oracle)
+
+
 def test_jobs_do_not_change_bytes():
     # more jobs than items (4 primes, 10 pairs) and no items at all included
     for argv, jobs in [
@@ -89,28 +107,31 @@ def test_jobs_do_not_change_bytes():
 class TestForkedJobs:
     """`--jobs 2` over the odd primes up to 60: the parent scans items[0::2],
     among them p = 37, and its child items[1::2], among them p = 59; both
-    are irregular, so Horner's rule re-checks their odd roots."""
+    are irregular, and every odd value of Q is checked against the
+    Bernoulli oracle's table of its own p."""
 
     ARGV = ["scan-irregular", "--pmax", "60", "--jobs", "2"]
 
-    @pytest.mark.parametrize("p", [37, 59])
-    def test_failed_check_in_either_share_exits_1(self, monkeypatch, capsys, p):
-        real = groupring.fp_gr_eval
-        horner_here = []
+    @pytest.mark.parametrize("p, k", [(37, 32), (59, 44)], ids=["37", "59"])
+    def test_failed_check_in_either_share_exits_1(self, monkeypatch, capsys, p, k):
+        # B_k, p's irregular index, moved by one in the oracle's table
+        moved = _moved_oracle(regularity.bernoulli_mod_p, p, {k: 1})
+        oracle_here = []
 
-        def sabotage(g, x):
-            horner_here.append(len(g) + 1)
-            return 1 if len(g) == p - 1 else real(g, x)
+        def sabotage(prime):
+            oracle_here.append(prime)
+            return moved(prime)
 
-        monkeypatch.setattr("stickelberger.regularity.fp_gr_eval", sabotage)
+        monkeypatch.setattr("stickelberger.regularity.bernoulli_mod_p", sabotage)
         code, text = run_cli(self.ARGV)
         assert code == 1 and text == ""
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: verification failed: Q(v^")
-        assert err[0].endswith(f"mod {p}: chirp and Horner disagree")
+        assert err == [
+            f"error: verification failed: Q(v^{p - k}) mod {p}: "
+            "chirp and Bernoulli oracle disagree"
+        ]
         # 37 is checked in this process; 59 only in the child
-        assert (37 in horner_here, 59 in horner_here) == (True, False)
+        assert (37 in oracle_here, 59 in oracle_here) == (True, False)
         _assert_no_child_left()
 
     def test_failure_here_kills_a_blocked_child(self, monkeypatch, capsys):
@@ -236,14 +257,32 @@ class TestExitCodes:
 
 
     def test_failed_check_exits_1_with_one_error_line(self, monkeypatch, capsys):
-        # a Horner value that disagrees with the chirp at p = 37's odd root
-        monkeypatch.setattr("stickelberger.regularity.fp_gr_eval", lambda g, x: 1)
+        # B_32 of p = 37 moved by one: the oracle no longer matches Q(v^5)
+        monkeypatch.setattr(
+            "stickelberger.regularity.bernoulli_mod_p",
+            _moved_oracle(regularity.bernoulli_mod_p, 37, {32: 1}),
+        )
         code, _ = run_cli(["scan-irregular", "--pmax", "40"])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ")
         assert "Q(v^5) mod 37" in err[0]
+
+    def test_swapped_oracle_entries_exit_1(self, monkeypatch, capsys):
+        # B_30 and B_32 of p = 37 swapped: the irregular count stays 1, but
+        # the values at n = 5 and n = 7 disagree with Q
+        real = regularity.bernoulli_mod_p
+        table = real(37)
+        swap = {30: table[32] - table[30], 32: table[30] - table[32]}
+        monkeypatch.setattr(
+            "stickelberger.regularity.bernoulli_mod_p", _moved_oracle(real, 37, swap)
+        )
+        code, text = run_cli(["scan-irregular", "--pmax", "40"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "error: verification failed: Q(v^5) mod 37: chirp and Bernoulli oracle disagree"
+        ]
 
     def test_moved_q_coefficient_exits_1_with_one_error_line(self, monkeypatch, capsys):
         # delta_5 of p = 37 moved by one: Q no longer factors through Q1
@@ -579,13 +618,31 @@ def test_checks_survive_optimized_mode():
     script = (
         "import sys, stickelberger.regularity as r, stickelberger.cli as c\n"
         "assert False, 'asserts must be stripped'\n"
-        "r.fp_gr_eval = lambda g, x: 1\n"
+        + MOVED_ORACLE
+        + "r.bernoulli_mod_p = _moved_oracle(r.bernoulli_mod_p, 37, {32: 1})\n"
         "sys.exit(c.main(['scan-irregular', '--pmax', '40']))\n"
     )
     done = _run_optimized(["-c", script])
-    assert done.returncode == 1
+    assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_swapped_oracle_entries_survive_optimized_mode():
+    script = (
+        "import sys, stickelberger.regularity as r, stickelberger.cli as c\n"
+        "assert False, 'asserts must be stripped'\n"
+        + MOVED_ORACLE
+        + "t = r.bernoulli_mod_p(37)\n"
+        "swap = {30: t[32] - t[30], 32: t[30] - t[32]}\n"
+        "r.bernoulli_mod_p = _moved_oracle(r.bernoulli_mod_p, 37, swap)\n"
+        "sys.exit(c.main(['scan-irregular', '--pmax', '40']))\n"
+    )
+    done = _run_optimized(["-c", script])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: verification failed: Q(v^5) mod 37: chirp and Bernoulli oracle disagree"
+    ]
 
 
 def test_moved_q_coefficient_survives_optimized_mode():
@@ -610,8 +667,7 @@ def test_moved_q_coefficient_survives_optimized_mode():
     "sabotage, message",
     [
         (
-            "real = r.fp_gr_eval\n"
-            "r.fp_gr_eval = lambda g, x: 1 if len(g) == 58 else real(g, x)\n",
+            MOVED_ORACLE + "r.bernoulli_mod_p = _moved_oracle(r.bernoulli_mod_p, 59, {44: 1})\n",
             "error: verification failed: Q(v^",
         ),
         (

@@ -19,7 +19,7 @@ from stickelberger.groupring import (
     polynomial_Q,
     polynomial_Q1_factorization,
 )
-from stickelberger.regularity import bernoulli_mod_p, irregular_indices, q_root_scan
+from stickelberger.regularity import bernoulli_mod_p, q_root_scan
 
 # classical table: irregular primes below 160 with their Bernoulli indices
 IRREGULAR_TABLE = {
@@ -68,7 +68,7 @@ class TestBernoulliOracle:
         # B_12 = -691/2730, and 691 divides B_200 as well
         assert bernoulli_mod(12, 691) == 0
         assert bernoulli_mod_p(691)[12] == 0
-        assert irregular_indices(691) == frozenset({12, 200})
+        assert q_root_scan(691).irregular_indices == frozenset({12, 200})
 
     def test_range_is_even_k_up_to_p_minus_3(self):
         table = bernoulli_mod_p(13)
@@ -128,7 +128,10 @@ def test_scan_roots_match_horner_at_every_exponent(p):
 def test_q_values_follow_from_the_q1_factorization(p):
     """Q(x) = Q1(x) (x^h - 1)/(x - 1) with h = (p-1)/2 at every x = v^n,
     n in [1, p-2]: 0 at even n, and -2 Q1(x)/(x - 1) at odd n, where the
-    scan reads its odd roots off Q1.  Every value from the full chirp
+    scan reads its odd roots off Q1.  At odd n >= 3 the values meet the
+    Bernoulli numbers (Washington, GTM 83, sec. 6.3): (p-n) Q(x) = (x - v)
+    B_(p-n) and 2n Q1(x) = (x - 1)(x - v) B_(p-n) mod p, with B_k from the
+    full series of tests/reference.py.  Every value from the full chirp
     over the p-1 powers of v."""
     v = primitive_root(p)
     q_poly = polynomial_Q(p, v)
@@ -136,12 +139,17 @@ def test_q_values_follow_from_the_q1_factorization(p):
     assert factored
     q_values = fp_gr_eval_powers(q_poly, v, p)
     q1_values = fp_gr_eval_powers(q1, v, p)
+    bernoulli = bernoulli_mod_p_full_series(p)
     for n in range(1, p - 1):
         if n % 2 == 0:
             assert q_values[n] == 0, n
         else:
             x = canon_power(v, n, p)
             assert q_values[n] * (x - 1) % p == -2 * q1_values[n] % p, n
+            if n > 1:
+                b = bernoulli[p - n]
+                assert (p - n) * q_values[n] % p == (x - v) * b % p, n
+                assert 2 * n * q1_values[n] % p == (x - 1) * (x - v) * b % p, n
 
 
 def test_literature_irregular_primes_below_1000():
@@ -276,5 +284,5 @@ class TestBHalf:
 
 
 def test_irregular_indices_helper():
-    assert irregular_indices(37) == frozenset({32})
-    assert irregular_indices(13) == frozenset()
+    assert q_root_scan(37).irregular_indices == frozenset({32})
+    assert q_root_scan(13).irregular_indices == frozenset()
