@@ -13,9 +13,14 @@ Reports carry no timestamps and all iteration orders are fixed, so
 identical invocations produce identical bytes regardless of the --jobs
 setting.  Every JSON report goes through one writer, `_json_text`, and
 every report object through one encoder, `_encode`.
+The process entry, `console` (`python -m stickelberger.cli` and the
+`stickelberger` command), freezes the start-up heap, so the collection at
+interpreter exit skips every loaded module's objects; `main` never freezes,
+since a caller may run it many times in one process.
 """
 
 import argparse
+import gc
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -539,5 +544,10 @@ def main(argv=None, out=None):
         return 2
 
 
-if __name__ == "__main__":
+def console():
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import gc
 import hashlib
 import inspect
 import io
@@ -597,13 +599,18 @@ def test_show_builds_each_group_ring_element_once(monkeypatch):
     }
 
 
+def _checkout_env():
+    """The caller's environment with PYTHONPATH set to this checkout's sources."""
+    return dict(os.environ, PYTHONPATH=str(SRC_DIR))
+
+
 def _run_optimized(args):
     """Run `python -O` with this checkout's sources, so asserts are gone."""
     return subprocess.run(
         [sys.executable, "-O", *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        env=_checkout_env(),
         timeout=120,
     )
 
@@ -1026,11 +1033,7 @@ class TestJsonWriter:
 
 def _run_checkout(args, **kwargs):
     """Start a Python process on this checkout's sources."""
-    return subprocess.Popen(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
-        **kwargs,
-    )
+    return subprocess.Popen([sys.executable, *args], env=_checkout_env(), **kwargs)
 
 
 def test_import_leaves_multiprocessing_out():
@@ -1085,6 +1088,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "stickelberger.cli", "bernoulli", "--p", "5"],
         capture_output=True,
         text=True,
+        env=_checkout_env(),
     )
     assert result.returncode == 0
     assert "k\tB_k_mod_p" in result.stdout
@@ -1092,6 +1096,82 @@ def test_console_entry_point():
         [sys.executable, "-m", "stickelberger.cli", "gauss", "verify", "-p", "5", "-q", "5"],
         capture_output=True,
         text=True,
+        env=_checkout_env(),
     )
     assert bad.returncode == 2
     assert "error:" in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "import runpy\nrunpy.run_module('stickelberger.cli', run_name='__main__')\n",
+        "import stickelberger.cli\nstickelberger.cli.console()\n",
+    ],
+    ids=["module", "console"],
+)
+def test_process_entry_freezes_the_start_up_heap(entry):
+    # the oracle reports whether the heap was frozen by the time the command ran
+    script = (
+        "import gc, sys, stickelberger.regularity as r\n"
+        "real = r.bernoulli_mod_p\n"
+        "def spy(p):\n"
+        "    print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "    return real(p)\n"
+        "r.bernoulli_mod_p = spy\n"
+        "sys.argv = ['stickelberger', 'bernoulli', '--p', '5']\n" + entry
+    )
+    with _run_checkout(
+        ["-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == "frozen True\n"
+    assert out == run_cli(["bernoulli", "--p", "5"])[1]
+
+
+def test_main_never_freezes():
+    before = gc.get_freeze_count()
+    assert run_cli(["scan-irregular", "--pmax", "40"])[0] == 0
+    assert run_cli(["scan-irregular", "--pmax", "60", "--jobs", "2"])[0] == 0
+    _assert_no_child_left()
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_jobs_keep_bytes_and_leave_no_child():
+    scan = ["scan-irregular", "--pmax", "60"]
+    outputs = []
+    for jobs in ("1", "2"):
+        with _run_checkout(
+            ["-m", "stickelberger.cli", *scan, "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            start_new_session=True,
+        ) as proc:
+            out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        outputs.append(out)
+    assert outputs[1] == outputs[0] == run_cli(scan)[1].encode()
+
+
+def test_installed_command_runs_the_process_entry():
+    # the [project.scripts] target, read as text: tomllib needs Python 3.11
+    pyproject = (SRC_DIR.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = [
+        line.split("=", 1)[1].strip().strip('"')
+        for line in scripts.splitlines()
+        if line.split("=", 1)[0].strip() == "stickelberger"
+    ]
+    module, name = target.split(":")
+    assert module == "stickelberger.cli"
+    # the call in cli.py's `if __name__ == "__main__":` block
+    tree = ast.parse(inspect.getsource(cli))
+    (block,) = [
+        stmt
+        for stmt in tree.body
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+    ]
+    assert ast.unparse(block.body) == f"{name}()"
+    assert getattr(cli, name) is cli.console
