@@ -411,10 +411,10 @@ def root_values(p, vectors, bound):
     """(modulus, [[b(r^t) mod modulus for t = 1..p-1] for b in vectors]):
     the values of each Z[zeta_p] coefficient vector b at the p-1 roots r^t
     of Phi_p, modulo a power of the smallest prime ell = 1 (mod p) above
-    2 * bound^(p-1).  That is twice a bound on |N(a)| for every a whose
+    2 * bound^(p-1).  That is twice a bound on N(a) for every a whose
     conjugates all have absolute value at most `bound`, such as
-    sum |a_i| <= bound, so the symmetric residue of the product of the
-    values of a is N(a)."""
+    sum |a_i| <= bound, so the residue in [0, modulus) of the product of
+    the values of a is N(a), which is positive for a != 0."""
     ell, k = _prime_power_above(p, (p - 1) * bound.bit_length() + 1)
     modulus, powers = hensel_roots(p, ell, k)
     return modulus, [_values_at_roots(b, powers, modulus) for b in vectors]
@@ -463,9 +463,11 @@ def shift_norms(p, items, shifts):
     """(tag, s, N(b + s)) for each (tag, values, at_one, modulus) of
     `items` and each integer shift s of `shifts`, lazily: `values` are the
     values of b at the p-1 roots r^1..r^(p-1) of Phi_p (`root_values`, any
-    representatives mod `modulus`) and `at_one` is b(1), the sum of its
-    coefficients.  N(b + s) = prod_t (b(r^t) + s), the symmetric residue
-    mod `modulus`.
+    representatives mod `modulus`) and `at_one` is any integer = b(1)
+    (mod p), such as the sum of its coefficients.  N(b + s) =
+    prod_t (b(r^t) + s), the residue in [0, modulus): a norm from
+    Q(zeta_p) is the product of the (p-1)/2 values |b(r^t) + s|^2, so it
+    is positive unless b + s = 0.
 
     r^t and r^(p-t) are complex conjugates, so the product runs over the
     (p-1)/2 pairs of values v = b(r^t), w = b(r^(p-t)), index i with
@@ -485,8 +487,6 @@ def shift_norms(p, items, shifts):
             n = 1
             for vw, v_plus_w in pairs:
                 n = n * (vw + s * (v_plus_w + s)) % modulus
-            if 2 * n > modulus:
-                n -= modulus
             if (n - ((at_one + s) % p != 0)) % p:
                 raise VerificationError(
                     f"norm {n} of an element of Z[zeta_{p}] is not a(1)^{p - 1} mod {p}"
@@ -495,7 +495,7 @@ def shift_norms(p, items, shifts):
 
 
 def norm(a: CycInt) -> int:
-    """The norm of a to Q, a rational integer; ValueError for 0.
+    """The norm of a to Q, a positive integer; ValueError for 0.
 
     N(a) = Res(Phi_p, a) is the product of the values a(r^t), t = 1..p-1,
     at the roots r^t of Phi_p, taken by `shift_norms` over conjugate pairs

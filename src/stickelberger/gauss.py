@@ -331,7 +331,7 @@ def gauss_sum(fd: FieldDesc) -> GaussSumRecord:
         checks["g_in_zeta_p"] = True
         s2 = polynomial_S2(polynomial_P(p, v), q)
         weight = sum(s2)
-        checks["norm_g_equals_q_to_s2_weight"] = abs(norm(g)) == q ** (f * weight)
+        checks["norm_g_equals_q_to_s2_weight"] = norm(g) == q ** (f * weight)
         checks["s2_weight_is_half_group_sum"] = p * weight == p * (p - 1) // 2
         # g = -1 mod lambda holds for every f; the p-th power then sits
         # at least one step above the split-case floor.

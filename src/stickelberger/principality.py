@@ -45,8 +45,8 @@ def principality_test(p: int, q: int, v: int | None = None) -> PrincipalityRepor
     leave few certificates: sigma_l is 0 whenever l*f is even, and
     B_k / k mod p with k = p - l*f when l*f is odd.  So every m >= 3 is
     inconclusive (sigma_2 = 0), m = 1 (q inert) certifies with an empty
-    battery, and m = 2 certifies exactly when p = 3 (mod 4) and
-    B_((p+1)/2) is not 0 mod p.
+    battery, and m = 2 certifies exactly when p = 3 (mod 4): then sigma_1
+    = 2 B_((p+1)/2) = -h(-p) mod p, never 0 (see `half_degree_corollary`).
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
@@ -86,8 +86,11 @@ class HalfDegreeVerdict(NamedTuple):
 
 def half_degree_corollary(p: int, v: int | None = None) -> HalfDegreeVerdict:
     """For p = 3 mod 4 and f = (p-1)/2 (so m = 2): the single congruence
-    value is [sum v^(-2j)]/p - [sum v^(-(1+2j))]/p, nonzero mod p by the
-    parity of p(p-1)/2."""
+    value is [sum v^(-2j)]/p - [sum v^(-(1+2j))]/p, (the quadratic residues
+    in [1, p-1] less the non-residues)/p = -h(-p) by Dirichlet's class
+    number formula, and 0 < h(-p) < p, so it is nonzero mod p (Washington,
+    GTM 83, ch. 4; Davenport, Multiplicative Number Theory, ch. 6; Cohen,
+    GTM 138, sec. 5.3-5.4)."""
     if p % 4 != 3:
         raise ValueError("corollary requires p = 3 mod 4")
     if p == 3:
@@ -147,9 +150,11 @@ def _l1_shell(length, total, bound):
 
 
 def _sweep_values(p, coeff_bound):
-    """(x, values, at_one, modulus) for every x of the sweep, lazily, the
+    """(x, values, 0, modulus) for every x of the sweep, lazily, the
     items of `shift_norms`: the values of b = lambda^(p+1) * x at the p-1
-    roots of Phi_p mod `modulus`, and b(1), the sum of its coefficients.
+    roots of Phi_p mod `modulus`, and 0 for b(1), right mod p since lambda
+    divides b; its coefficient sum is a multiple of p, not 0 (the two rows
+    sum to -18 and 9 at p = 3), and `shift_norms` reads it only mod p.
     The x run over the vectors with entries in [-coeff_bound, coeff_bound]
     by L1 shell, lexicographically within each shell (`_l1_shell`).
 
@@ -168,28 +173,22 @@ def _sweep_values(p, coeff_bound):
         modulus, table = root_values(p, rows, total * widest + p - 1)
         reach = min(coeff_bound, total)
         multiples = [
-            {
-                c: ([c * v for v in row_values], c * sum(row))
-                for c in range(-reach, reach + 1)
-                if c
-            }
-            for row, row_values in zip(rows, table)
+            {c: [c * v for v in row_values] for c in range(-reach, reach + 1) if c}
+            for row_values in table
         ]
         for x in _l1_shell(p - 1, total, coeff_bound):
-            values, at_one = zero, 0
+            values = zero
             for c, row_multiples in zip(x, multiples):
                 if c:
-                    row_values, row_at_one = row_multiples[c]
-                    values = list(map(add, values, row_values))
-                    at_one += row_at_one
-            yield x, values, at_one, modulus
+                    values = list(map(add, values, row_multiples[c]))
+            yield x, values, 0, modulus
 
 
 def principal_norm_probe(
     p: int, search_bound: int = 10_000, coeff_bound: int = 2
 ) -> ProbeReport:
     """Sweep q1 = a + lambda^(p+1) * x over small-coefficient x; whenever
-    |norm(q1)| is a prime q, the power test p^((q-1)/p) = 1 mod q must
+    norm(q1) is a prime q, the power test p^((q-1)/p) = 1 mod q must
     pass.  Any failing witness lands in `counterexamples`.
 
     The candidates are one lazy stream, cut at `search_bound` by islice:
@@ -201,7 +200,7 @@ def principal_norm_probe(
     Norms repeat: complex conjugation maps a + lambda^(p+1) * x to
     a + lambda^(p+1) * zeta^(-1) * conj(x), of the same norm, and for
     small x both are often in the sweep (22378 distinct norms among the
-    first 30000 candidates at p = 7).  So each distinct |norm| gets one
+    first 30000 candidates at p = 7).  So each distinct norm gets one
     verdict, kept in a dict: one primality test, and for a prime one
     split check and one power.  Every candidate still gets its own
     witness row, in sweep order.
@@ -213,11 +212,10 @@ def principal_norm_probe(
         raise ValueError(f"p={p} is not an odd prime")
     tested = 0
     witnesses, counterexamples = [], []
-    # |norm| -> p^((|norm|-1)/p) mod |norm| if |norm| is prime, else None
+    # norm -> p^((norm-1)/p) mod norm if the norm is prime, else None
     verdicts = {}
     candidates = shift_norms(p, _sweep_values(p, coeff_bound), range(1, p))
     for tested, (x, a, n) in enumerate(islice(candidates, search_bound), 1):
-        n = abs(n)
         residue = verdicts.get(n, verdicts)
         if residue is verdicts:  # the dict itself marks an untested norm
             residue = verdicts[n] = _norm_verdict(p, n)

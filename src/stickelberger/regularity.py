@@ -70,7 +70,7 @@ class RegularityVerdict(NamedTuple):
     all_roots: frozenset  # n in [2, p-2] with Q(v^n) = 0 mod p
     irregular_indices: frozenset  # even k with B_k = 0 mod p, from the oracle
     verdict: str  # "regular" / "irregular", decided by the oracle
-    agreement: bool  # {p - (2m+1) : m in odd_roots} == irregular_indices
+    agreement: bool  # {p-(2m+1)} == irregular_indices: True, or q_root_scan raises
 
 
 def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
@@ -112,5 +112,5 @@ def q_root_scan(p: int, v: int | None = None) -> RegularityVerdict:
         all_roots=frozenset([*range(2, p - 1, 2), *(2 * j + 1 for j in odd_roots)]),
         irregular_indices=irr,
         verdict="irregular" if irr else "regular",
-        agreement=frozenset(p - 2 * j - 1 for j in odd_roots) == irr,
+        agreement=True,
     )

@@ -4,7 +4,7 @@ against.  Nothing here is used by the package itself.
 
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, gcd
 from operator import add, mul
 from typing import NamedTuple
 
@@ -249,6 +249,21 @@ def conjugate_product_norm(a: CycInt) -> int:
     if any(acc.coeffs[1:]):
         raise ValueError(f"{acc!r} is not a rational integer")
     return acc.coeffs[0]
+
+
+def class_number(discriminant):
+    """h(D) for a negative discriminant D, the number of reduced primitive
+    forms (a, b, c) with b^2 - 4ac = D: |b| <= a <= c, and b >= 0 when
+    |b| = a or a = c (Cohen, GTM 138, sec. 5.3).  Reduced forms have
+    3a^2 <= |D|."""
+    count, a = 0, 1
+    while 3 * a * a <= -discriminant:
+        for b in range(-a + 1, a + 1):
+            c, rest = divmod(b * b - discriminant, 4 * a)
+            if not rest and c >= a and not (c == a and b < 0) and gcd(a, b, c) == 1:
+                count += 1
+        a += 1
+    return count
 
 
 def is_prime_first_bases(n):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -10,15 +11,17 @@ from time import perf_counter
 
 import pytest
 
-from stickelberger import groupring, principality
+from stickelberger import cli, groupring, principality
 from stickelberger.arith import (
     MILLER_RABIN_DETERMINISTIC_BOUND,
+    VerificationError,
     canon_power,
     is_prime,
     multiplicative_order,
     primitive_root,
 )
 from reference import (
+    class_number,
     conjugate_product_norm,
     graded_lex_shell,
     primitive_roots,
@@ -36,6 +39,7 @@ from stickelberger.cyclotomic import (
 from stickelberger.groupring import fp_gr_eval_powers, polynomial_P, polynomial_S2
 from stickelberger.principality import (
     _l1_shell,
+    _norm_verdict,
     _sweep_values,
     half_degree_corollary,
     principal_norm_probe,
@@ -205,6 +209,17 @@ class TestHalfDegree:
         expected = bernoulli_mod_p(p)[k] * pow(k, -1, p) % p
         assert half_degree_corollary(p).sigma_mod_p == expected
 
+    def test_sigma_is_minus_the_class_number(self):
+        # Dirichlet's class number formula for p = 3 (mod 4), p > 3: sigma,
+        # (the residues less the non-residues)/p, is -h(-p), counted here
+        # by reduced forms; 0 < h(-p) < p is why sigma is nonzero mod p
+        assert [class_number(-p) for p in (23, 47, 71)] == [3, 5, 7]
+        for p in range(7, 2000):
+            if is_prime(p) and p % 4 == 3:
+                h = class_number(-p)
+                assert half_degree_corollary(p).sigma == -h
+                assert 0 < h < p
+
     @pytest.mark.parametrize("p", [p for p in range(7, 60) if is_prime(p) and p % 4 == 3])
     def test_every_primitive_root_gives_the_orbit_sums(self, p):
         half = (p - 1) // 2
@@ -255,7 +270,7 @@ class TestNormProbe:
         lam4 = lambda_element(3) ** 4
         for w in report.witnesses[:5]:
             q1 = lam4 * CycInt(3, w.x_coeffs) + w.a
-            assert abs(norm(q1)) == w.norm_q
+            assert norm(q1) == w.norm_q
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -293,13 +308,16 @@ class TestProbeNormsAgainstConjugateProducts:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_shell_values_give_the_norms_of_the_explicit_base(self, p, coeff_bound):
         # the rows are evaluated once per L1 shell, at a modulus sized for
-        # the shell; each x must still give the norms of its own base
+        # the shell; each x must still give the norms of its own base.
+        # b(1) is 0 only mod p: the sweep passes 0, the coefficient sum of
+        # the base is a nonzero multiple of p for most x
         shift = lambda_element(p) ** (p + 1)
         items = list(islice(_sweep_values(p, coeff_bound), 700))
         shells = set()
         for x, _, at_one, _ in items:
             shells.add(sum(map(abs, x)))
-            assert at_one == sum((shift * CycInt(p, x)).coeffs)
+            assert at_one == 0
+            assert sum((shift * CycInt(p, x)).coeffs) % p == 0
         expected = [
             (x, s, norm(shift * CycInt(p, x) + s)) for x, *_ in items for s in range(1, p)
         ]
@@ -337,8 +355,61 @@ class TestProbeNormsAgainstConjugateProducts:
         assert found == probe_witnesses(7, 2003)
 
 
+class TestNormFacts:
+    """What the stream may take from the design rather than the data: every
+    norm from Q(zeta_p) of a nonzero element is positive, and below half the
+    modulus, so its residue is the norm; b(1) = 0 (mod p) for the whole
+    sweep; and a prime norm must split."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_norm_of_the_sweep_start_is_positive(self, p):
+        items = list(islice(_sweep_values(p, 2), 5000))
+        moduli = {x: modulus for x, _, _, modulus in items}
+        norms = list(shift_norms(p, items, range(1, p)))
+        assert len(norms) == len(items) * (p - 1)
+        assert all(0 < n and 2 * n < moduli[x] for x, _, n in norms)
+
+    def test_a_prime_norm_that_does_not_split_is_refused(self):
+        with pytest.raises(VerificationError, match="prime norm 11 is not 1 mod 7"):
+            _norm_verdict(7, 11)
+        assert _norm_verdict(7, 29) == pow(7, 4, 29)
+        assert _norm_verdict(7, 15) is None
+
+    @pytest.mark.parametrize("p, bound", [(3, 60), (7, 3000)])
+    def test_wrong_lambda_fails_the_norm_check(self, monkeypatch, capsys, p, bound):
+        # with zeta - 2 for lambda, b(1) = x(1) is not 0 mod p, so a norm
+        # of the sweep fails the mod-p check and no report is printed
+        monkeypatch.setattr(principality, "lambda_element", lambda p: CycInt.zeta(p) - 2)
+        out = io.StringIO()
+        code = cli.main(["principality", "probe", "-p", str(p), "--bound", str(bound)], out)
+        err = capsys.readouterr().err
+        assert code == 1 and out.getvalue() == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: verification failed: norm ")
+
+    @pytest.mark.parametrize("p, bound", [(3, 60), (7, 3000)])
+    def test_wrong_lambda_fails_under_optimized_mode(self, p, bound):
+        script = (
+            "import sys, stickelberger.principality as pr, stickelberger.cli as c\n"
+            "from stickelberger.cyclotomic import CycInt\n"
+            "assert False, 'asserts must be stripped'\n"
+            "pr.lambda_element = lambda p: CycInt.zeta(p) - 2\n"
+            f"sys.exit(c.main(['principality', 'probe', '-p', '{p}', '--bound', '{bound}']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+            timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: verification failed: norm ")
+
+
 class TestNormVerdicts:
-    """One primality verdict per distinct |norm| of the sweep."""
+    """One primality verdict per distinct norm of the sweep."""
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_conjugate_partner_has_the_same_norm(self, p):
@@ -372,11 +443,11 @@ class TestNormVerdicts:
 
 
 def _repeated_composite_norm(p, search_bound):
-    """The first composite |norm| that two candidates of the sweep share
+    """The first composite norm that two candidates of the sweep share
     and that fails the power test, with those candidates as (a, x)."""
     holders = {}
     for a, x_vec, q1 in probe_sweep(p, search_bound):
-        holders.setdefault(abs(norm(q1)), []).append((a, x_vec))
+        holders.setdefault(norm(q1), []).append((a, x_vec))
     return next(
         (n, found)
         for n, found in holders.items()
