@@ -88,11 +88,11 @@ MAX_FIELD_ORDER = 2**21
 # probe tests each distinct norm once, and about a quarter of the norms
 # repeat, since a candidate and its complex conjugate, also in the sweep
 # for small x, have the same norm.  In process, a candidate costs about
-# 0.0076 ms at p = 7 (--bound 30000, 0.14 of its 0.23 s is_prime), 0.019 ms
-# at p = 11 (--bound 20000, 0.31 of 0.38 s) and 0.77 ms at p = 31
-# (--bound 3000, about 90% is_prime).  Cold, -p 11 --bound 100000 took
-# 3.3 s and 31 MB peak RSS (median of 8); at both bounds, -p 31
-# --bound 100000 took 79 s and 32 MB (one run; 2-vCPU VM, Python 3.11).
+# 0.0080 ms at p = 7 (--bound 30000, 0.14 of its 0.24 s is_prime), 0.030 ms
+# at p = 11 (--bound 20000, 0.38 of 0.59 s) and 1.0 ms at p = 31
+# (--bound 3000, 2.6 of 3.1 s; medians of 3, 2-vCPU VM, Python 3.11).
+# Cold, -p 11 --bound 100000 took 3.3 s and 31 MB peak RSS (median of 8);
+# at both bounds, -p 31 --bound 100000 took 79 s and 32 MB (one run).
 MAX_PROBE_P = 31
 MAX_PROBE_BOUND = 100_000
 
@@ -165,34 +165,52 @@ def _encode(obj):
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# The text of each exact scalar type, looked up by type(obj); a subclass
+# (an IntEnum, a str subclass) takes the isinstance route of `_json_text`.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _JSON_CONSTANTS.__getitem__,
+    type(None): _JSON_CONSTANTS.__getitem__,
+}
 
 
 def _json_text(obj, indent="\n"):
     """The bytes of json.dumps(obj, indent=2, default=_encode), with each
     container's items joined into one string and each record written by
     `_encode`, not as an array.  `indent` is a newline and the indentation
-    of obj's line.  Floats are refused with a TypeError, and dict keys may
-    be str, int, bool or None."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return _JSON_CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    of obj's line.  A scalar of an exact type in `_SCALAR_TEXT` is written
+    by one lookup, also as an item or a value, so only containers, records
+    and scalar subclasses recurse.  Floats are refused with a TypeError,
+    and dict keys may be str, int, bool or None."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            text = _SCALAR_TEXT.get(type(value))
+            value = text(value) if text else _json_text(value, inner)
+            items.append(_json_key(key) + ": " + value)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)) and not hasattr(obj, "_asdict"):
         if not obj:
             return "[]"
         if all(type(item) is int for item in obj):  # not bool, an int subclass
             items = map(int.__repr__, obj)
         else:
-            items = [_json_text(item, inner) for item in obj]
+            items = []
+            for item in obj:
+                text = _SCALAR_TEXT.get(type(item))
+                items.append(text(item) if text else _json_text(item, inner))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     return _json_text(_encode(obj), indent)
 
 

@@ -135,18 +135,23 @@ class ProbeReport(NamedTuple):
     miller_rabin_witness_count: int = MILLER_RABIN_WITNESS_COUNT
 
 
-def _l1_shell(length, total, bound):
-    """The integer vectors with entries in [-bound, bound] and L1 norm
-    `total`, lexicographically: a first entry c fits when the other
-    length-1 entries can make up total - |c|."""
-    if length == 0:
-        yield ()
+def _shell_sums(multiples, total, bound, x, values):
+    """(x + y, values + the sum of multiples[len(x) + i][y_i] over y_i != 0)
+    for every y with entries in [-bound, bound] and L1 norm `total` that
+    makes x as long as `multiples`, lexicographically: an entry c fits when
+    the entries after it can make up total - |c|.  Each prefix adds its
+    multiple once, so the sums are shared by every x below it."""
+    k = len(x)
+    if k == len(multiples):
+        yield x, values
         return
+    remaining = len(multiples) - k - 1
+    row = multiples[k]
     reach = min(bound, total)
     for c in range(-reach, reach + 1):
-        if total <= abs(c) + (length - 1) * bound:
-            for rest in _l1_shell(length - 1, total - abs(c), bound):
-                yield (c,) + rest
+        if total <= abs(c) + remaining * bound:
+            sums = list(map(add, values, row[c])) if c else values
+            yield from _shell_sums(multiples, total - abs(c), bound, x + (c,), sums)
 
 
 def _sweep_values(p, coeff_bound):
@@ -156,14 +161,16 @@ def _sweep_values(p, coeff_bound):
     divides b; its coefficient sum is a multiple of p, not 0 (the two rows
     sum to -18 and 9 at p = 3), and `shift_norms` reads it only mod p.
     The x run over the vectors with entries in [-coeff_bound, coeff_bound]
-    by L1 shell, lexicographically within each shell (`_l1_shell`).
+    by L1 shell, lexicographically within each shell (`_shell_sums`).
 
     b is linear in x: the sum of x_i times the row lambda^(p+1) * zeta^i.
     The rows are evaluated once per shell, at a modulus sized for the
     whole shell: sum |b_i| <= |x|_1 * max_i |row_i|_1, and the shifts add
     at most p-1 to each conjugate.  The multiples c * row for
-    0 < |c| <= min(coeff_bound, shell) are built with the shell, so an x
-    costs nnz(x) additions of value lists and no product.
+    0 < |c| <= min(coeff_bound, shell) are built with the shell, and the
+    shell is walked by prefix, so an x costs one addition of value lists
+    per nonzero entry past the longest prefix it shares with the x before
+    it, and no product.
     """
     shift = lambda_element(p) ** (p + 1)
     rows = [(shift * CycInt.zeta(p, i)).coeffs for i in range(p - 1)]
@@ -176,11 +183,7 @@ def _sweep_values(p, coeff_bound):
             {c: [c * v for v in row_values] for c in range(-reach, reach + 1) if c}
             for row_values in table
         ]
-        for x in _l1_shell(p - 1, total, coeff_bound):
-            values = zero
-            for c, row_multiples in zip(x, multiples):
-                if c:
-                    values = list(map(add, values, row_multiples[c]))
+        for x, values in _shell_sums(multiples, total, coeff_bound, (), zero):
             yield x, values, 0, modulus
 
 

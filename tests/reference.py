@@ -269,7 +269,7 @@ def class_number(discriminant):
 def is_prime_first_bases(n):
     """Primality by trial division by 2..37, then Miller-Rabin with the
     first k prime bases below psi_k (`_MR_PSI`) and all 40 at or above
-    psi_13.  `is_prime` reaches the same answers by another route: one gcd
+    psi_13.  `is_prime` reaches the same answers by another route: two gcds
     with the primes below 1024, then Jaeschke's short base sets."""
     if n < 2:
         return False

@@ -108,7 +108,7 @@ class TestPrimes:
         assert primes > 300
 
     def test_agrees_with_a_sieve(self):
-        # crosses 1024^2, below which a gcd with the small primes decides
+        # crosses 1024^2, below which the gcds with the small primes decide
         n = 1_100_000
         sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
         for d in range(2, int(n**0.5) + 1):

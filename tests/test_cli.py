@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -547,7 +548,10 @@ def test_group_ring_digest(argv):
 
 # sha256 of `principality probe` stdout beyond the p = 3 golden, recorded
 # before each distinct norm got one primality verdict and before the JSON
-# writer replaced json.dumps; -p 7 --bound 30000 is perfbench's probe.
+# writer replaced json.dumps; -p 7 --bound 30000 is perfbench's probe.  The
+# last four were recorded before the sweep summed its values by prefix:
+# p = 13 walks 12 entries deep, --coeff-bound 3 and 1 prune at the other
+# bounds, and -p 7 --bound 6000 --coeff-bound 1 exhausts the box of 3^6 x.
 PROBE_SHA256 = {
     ("-p", "7", "--bound", "30000"):
         "3d6b26ced39741109078d0f055591200beb49e8e6e38202744527f88481c5716",
@@ -555,6 +559,14 @@ PROBE_SHA256 = {
         "fa887fd914b0773f2c9aebc01cc419d73005b59420f121376cea13e1f8020dca",
     ("-p", "31", "--bound", "300"):
         "2a7f9763d59a232f4443c32b88deb738e5cf9d2821bd491a5edc9973453403f8",
+    ("-p", "5", "--bound", "3000"):
+        "cc1af43be47becefe82e1e36ae986c3a45485d99f2a6ff9bf53ef12b7055c376",
+    ("-p", "13", "--bound", "2000"):
+        "8fe3c12755f2a22cee26adbf040dd9cf669bba579672369327363f64cdb58d61",
+    ("-p", "7", "--bound", "20000", "--coeff-bound", "3"):
+        "af0a01660917dfbebabb02395d09a264f7d1c6a6af4d69379ec4dda65b9f32be",
+    ("-p", "7", "--bound", "6000", "--coeff-bound", "1"):
+        "c361b295d0b438e13133ce54b11a74316734d0182429af68d861f2b03cf754e8",
 }
 
 
@@ -989,6 +1001,23 @@ def _records_encoded(obj):
     return obj
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    """A tuple subclass that is not a record: no `_asdict`."""
+
+
 class TestJsonWriter:
     """`_json_text` against json.dumps(indent=2, default=_encode), the
     encoder it replaces, with records encoded first."""
@@ -1019,10 +1048,35 @@ class TestJsonWriter:
             with pytest.raises(ValueError):
                 _json_text(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            _Level.HIGH,
+            {"level": _Level.HIGH},
+            [_Level.LOW, _Level.HIGH],
+            [_Level.LOW, "x", None],
+            {_Level.HIGH: 1, 0: [_Level.LOW]},
+            _Tag("t\u00e9"),
+            {"tag": _Tag("t"), _Tag("k"): [_Tag("i"), 2]},
+            _Items([1, 2]),
+            {"items": _Items(["a", None, _Items()])},
+            _Pair((1, "b")),
+            [_Pair(()), {"pair": _Pair((None, _Level.LOW))}],
+        ],
+        ids=[
+            "enum", "enum-value", "enum-items", "enum-mixed", "enum-key",
+            "str", "str-value-key-item", "list", "list-value", "tuple", "tuple-item",
+        ],
+    )
+    def test_scalar_and_container_subclasses(self, obj):
+        # exact types take the table, subclasses the isinstance route, and
+        # both give the bytes of json.dumps
+        assert _json_text(obj) == json.dumps(obj, indent=2, default=_encode)
+
     def test_floats_and_tuple_keys_raise_type_error(self):
         # json.dumps writes floats, the writer refuses them: reports hold
         # exact integers only.  Neither takes a tuple key.
-        for obj in (1.5, [0, 2.0], {"x": float("nan")}):
+        for obj in (1.5, [0, 2.0], ["a", 1.5], {"x": float("nan")}, {"x": 1.5, "y": 1}):
             with pytest.raises(TypeError):
                 _json_text(obj)
         assert json.dumps(1.5) == "1.5"

@@ -38,8 +38,8 @@ from stickelberger.cyclotomic import (
 )
 from stickelberger.groupring import fp_gr_eval_powers, polynomial_P, polynomial_S2
 from stickelberger.principality import (
-    _l1_shell,
     _norm_verdict,
+    _shell_sums,
     _sweep_values,
     half_degree_corollary,
     principal_norm_probe,
@@ -495,7 +495,12 @@ class TestRepeatedNormSabotage:
 def test_graded_lex_order_matches_sorted_box(length, bound):
     box = product(range(-bound, bound + 1), repeat=length)
     expected = sorted(box, key=lambda t: (sum(map(abs, t)), t))
-    shells = [list(_l1_shell(length, total, bound)) for total in range(length * bound + 1)]
+    # empty value lists: only the order of the x is under test here
+    multiples = [{c: [] for c in range(-bound, bound + 1) if c}] * length
+    shells = [
+        [x for x, _ in _shell_sums(multiples, total, bound, (), [])]
+        for total in range(length * bound + 1)
+    ]
     assert [x for shell in shells for x in shell] == expected
     assert shells == [graded_lex_shell(length, total, bound) for total in range(length * bound + 1)]
 
